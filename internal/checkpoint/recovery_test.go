@@ -126,7 +126,7 @@ func newStore(t *testing.T, cfg *core.Config, every int) *Store {
 func crashAndResume(t *testing.T, cfg core.Config, store *Store, failAt int) *core.Result {
 	t.Helper()
 
-	eps := transport.NewInProcGroup(testNodes)
+	eps := transport.NewInProcGroup(cfg.NumNodes)
 	victim := transport.NewFaulty(eps[1], failAt)
 	eps[1] = victim
 	crashCfg := cfg
@@ -195,6 +195,23 @@ func TestCrashResumeSecondOrder(t *testing.T) {
 	// Two exchanges per superstep plus one per checkpoint barrier: exchange
 	// 17 lands around superstep 8, past the checkpoints at 3 and 6, with
 	// walkers parked on remote adjacency queries in the snapshot.
+	assertSameWalk(t, golden, crashAndResume(t, cfg, store, 17))
+}
+
+// TestCrashResumeSecondOrderTwoRanks crashes a 2-rank node2vec run with
+// thousands of walkers, so every checkpoint holds hundreds of walkers parked
+// on in-flight state queries. The resumed ranks must rebuild their
+// parked-walker tables from the snapshot and re-send those queries; a
+// walker missing from the table makes the first resumed phase C fail on its
+// response.
+func TestCrashResumeSecondOrderTwoRanks(t *testing.T) {
+	g := gen.TruncatedPowerLaw(4000, 4, 200, 2.0, 5)
+	cfg := secondOrderCfg(g)
+	cfg.NumNodes = 2
+	golden := mustRun(t, cfg)
+
+	store := newStore(t, &cfg, 3)
+	// Exchange 17 lands around superstep 7, past the checkpoints at 3 and 6.
 	assertSameWalk(t, golden, crashAndResume(t, cfg, store, 17))
 }
 

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"knightking/internal/alg"
 	"knightking/internal/core"
@@ -82,4 +84,39 @@ func BenchmarkEngineNode2Vec4NodesScalar(b *testing.B) {
 	benchRun(b, alg.Node2Vec(alg.Node2VecParams{
 		P: 2, Q: 0.5, Length: 20, LowerBound: true, FoldOutlier: true,
 	}), 4, core.SteppingScalar)
+}
+
+// BenchmarkEngineNode2Vec2RanksScaling runs node2vec on 2 in-process ranks
+// at two walker counts over one 50k-vertex power-law graph and reports walk
+// time per step (set-up excluded). The ratio between the sub-benchmarks is
+// the regression guard: a per-step cost that grows with the walker count
+// (such as a scan of the walker list per cross-rank acceptance) makes the
+// larger run's ns/step climb.
+func BenchmarkEngineNode2Vec2RanksScaling(b *testing.B) {
+	g := gen.TruncatedPowerLaw(50000, 4, 500, 2.0, 1)
+	a := alg.Node2Vec(alg.Node2VecParams{
+		P: 2, Q: 0.5, Length: 20, LowerBound: true, FoldOutlier: true,
+	})
+	for _, walkers := range []int{25000, 100000} {
+		b.Run(fmt.Sprintf("walkers=%d", walkers), func(b *testing.B) {
+			var steps int64
+			var walk time.Duration
+			for i := 0; i < b.N; i++ {
+				res, err := core.Run(core.Config{
+					Graph:      g,
+					Algorithm:  a,
+					NumNodes:   2,
+					Workers:    1,
+					NumWalkers: walkers,
+					Seed:       uint64(i + 1),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += res.Counters.Steps
+				walk += res.Duration
+			}
+			b.ReportMetric(float64(walk.Nanoseconds())/float64(steps), "ns/step")
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -538,8 +539,10 @@ type node struct {
 	rejections []*sampling.Rejection
 	boards     []sampling.Rejection
 
-	walkers  []*Walker
-	awaiting map[int64]*Walker
+	walkers []*Walker
+	// parkedByID maps a walker ID (dense 0..NumWalkers-1) to the walker
+	// while it waits on a state query; allocated for higher-order walks only.
+	parkedByID []*Walker
 
 	// inFlight counts migrations sent but not yet counted by their receiver.
 	//kk:phase compute,superstep
@@ -614,7 +617,6 @@ func newNode(rank int, cfg *Config, part *cluster.Partition, ep transport.Endpoi
 		ep:         ep,
 		counters:   counters,
 		res:        res,
-		awaiting:   make(map[int64]*Walker),
 		ownsResult: ownsResult,
 		obs:        cfg.Observer,
 		tracer:     cfg.Trace,
@@ -630,6 +632,9 @@ func newNode(rank int, cfg *Config, part *cluster.Partition, ep transport.Endpoi
 		n.wstates[i] = newWorkerState(ep.Size())
 	}
 	n.loop = newWorkerState(ep.Size())
+	if n.alg.higherOrder() {
+		n.parkedByID = make([]*Walker, cfg.NumWalkers)
+	}
 	if cfg.Restore != nil {
 		restoreStart := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
 		if err := n.restoreSnapshot(cfg.Restore); err != nil {
@@ -937,7 +942,7 @@ func (n *node) run() (iterations, lightIters int, err error) {
 		// migration generation).
 		parked := n.phaseA(light)
 		for _, w := range parked {
-			n.awaiting[w.ID] = w
+			n.parkedByID[w.ID] = w
 		}
 
 		// Send this node's live-walker count to every rank, then exchange.
@@ -1086,6 +1091,11 @@ func (n *node) run() (iterations, lightIters int, err error) {
 			if err := n.applyResponses(m.Payload, n.loop); err != nil {
 				return iterations, lightIters, err
 			}
+		}
+		// Drop the walkers phase C migrated away (their vertex is no longer
+		// owned here), keeping order, before flush and putAll hand them on.
+		if n.loop.out.migrations > 0 {
+			n.walkers = slices.DeleteFunc(n.walkers, func(w *Walker) bool { return !n.part.Owns(n.rank, w.Cur) })
 		}
 		n.inFlight += n.loop.out.migrations
 		n.loop.out.migrations = 0
@@ -1622,62 +1632,52 @@ func (n *node) answerQueryRange(spans []querySpan, base, end int, out *outBufs) 
 	return nil
 }
 
-// applyResponses resolves parked walkers' pending darts. A stored dart's
-// resolution compares its Y against Pd only (AcceptMain consumes no RNG),
-// so it is unaffected by any sampler-structure switch at an intervening
-// adaptation barrier.
+// applyResponses resolves parked walkers' pending darts; walkers it migrates
+// stay in n.walkers until run filters them out. A resolution compares the
+// stored Y against Pd only (AcceptMain consumes no RNG), so it is unaffected
+// by a sampler-structure switch at an intervening adaptation barrier.
 //
 //kk:hotpath
 func (n *node) applyResponses(payload []byte, st *workerState) error {
 	if len(payload)%16 != 0 {
 		return fmt.Errorf("core: malformed response batch (%d bytes)", len(payload)) //kk:alloc-ok error path: a malformed response batch aborts the run, never steady state
 	}
-	for off := 0; off < len(payload); off += 16 {
-		walkerID := int64(binary.LittleEndian.Uint64(payload[off:]))
-		result := binary.LittleEndian.Uint64(payload[off+8:])
-		w, ok := n.awaiting[walkerID]
-		if !ok {
-			return fmt.Errorf("core: response for unknown walker %d", walkerID) //kk:alloc-ok error path: a response for an unknown walker aborts the run, never steady state
+	// Gather, then resolve, a chunk at a time: the short gather loop lets
+	// the CPU overlap the cache misses on parked walkers and their edges.
+	var ws [64]*Walker
+	var es [64]graph.Edge
+	for base := 0; base < len(payload); base += len(ws) * 16 {
+		m := 0
+		var err error
+		for off := base; off < len(payload) && m < len(ws); off += 16 {
+			id := binary.LittleEndian.Uint64(payload[off:])
+			if id >= uint64(len(n.parkedByID)) || n.parkedByID[id] == nil {
+				err = fmt.Errorf("core: response for unknown walker %d", int64(id)) //kk:alloc-ok error path: a response for an unknown walker aborts the run, never steady state
+				break
+			}
+			w := n.parkedByID[id]
+			n.parkedByID[id], w.awaiting = nil, false
+			ws[m], es[m] = w, n.g.EdgeAt(w.Cur, int(w.pendingEdge))
+			m++
 		}
-		delete(n.awaiting, walkerID)
-		w.awaiting = false
-
-		e := n.g.EdgeAt(w.Cur, int(w.pendingEdge))
-		pd := n.alg.EdgeDynamicComp(w, e, result, true)
-		st.counters.edgeProbEvals++
-		rj := n.rejectionOf(w.Cur)
-		p := sampling.Proposal{EdgeIdx: int(w.pendingEdge), Appendix: -1, Y: w.pendingY}
-		if rj.AcceptMain(p, pd) {
-			// The accepted dart was thrown in an earlier phase A burst whose
-			// count is no longer tracked; observe the resolving dart alone.
-			n.observeStep(w, 1, 1)
-			if !n.applyAction(w, actMove, int(w.pendingEdge), st) {
-				n.removeWalker(w)
+		for j, w := range ws[:m] {
+			pd := n.alg.EdgeDynamicComp(w, es[j], binary.LittleEndian.Uint64(payload[base+16*j+8:]), true)
+			st.counters.edgeProbEvals++
+			// An accepted dart was thrown in an earlier phase A burst whose
+			// count is no longer tracked; observe the resolving dart alone. A
+			// rejected walker stays mid-step (sampling == true) and retries
+			// next superstep — the paper's "less fortunate ones stuck at their
+			// current vertex for the next iteration".
+			if n.rejectionOf(w.Cur).AcceptMain(sampling.Proposal{EdgeIdx: int(w.pendingEdge), Appendix: -1, Y: w.pendingY}, pd) {
+				n.observeStep(w, 1, 1)
+				n.applyAction(w, actMove, int(w.pendingEdge), st)
 			}
 		}
-		// On rejection the walker simply stays mid-step (sampling == true)
-		// and retries at the next superstep — the paper's "less fortunate
-		// ones stuck at their current vertex for the next iteration".
-	}
-	return nil
-}
-
-// removeWalker drops a migrated walker from the local list (slow path,
-// only used when a phase-C acceptance crosses nodes).
-func (n *node) removeWalker(w *Walker) {
-	for i, x := range n.walkers {
-		if x == w {
-			last := len(n.walkers) - 1
-			n.walkers[i] = n.walkers[last]
-			n.walkers = n.walkers[:last]
-			return
+		if err != nil {
+			return err
 		}
 	}
-	panic(fmt.Sprintf("core: walker %d not found for removal", w.ID)) //kk:alloc-ok panic path: removing an untracked walker is an engine bug, never steady state
-}
-
-func (n *node) samplerOf(v graph.VertexID) sampling.StaticSampler {
-	return n.samplers[v-n.lo]
+	return nil
 }
 
 func (n *node) rejectionOf(v graph.VertexID) *sampling.Rejection {

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"knightking/internal/gen"
 	"knightking/internal/graph"
+	"knightking/internal/stats"
+	"knightking/internal/transport"
 )
 
 // parityAlg is a second-order test algorithm: the walker queries the node
@@ -131,4 +135,79 @@ func TestHigherOrderRejectionRetriesAcrossSupersteps(t *testing.T) {
 	if res.Counters.Trials <= res.Counters.Steps {
 		t.Fatalf("trials %d <= steps %d despite rejections", res.Counters.Trials, res.Counters.Steps)
 	}
+}
+
+// TestApplyResponsesRejectsUntrustedRecords feeds phase C crafted response
+// batches. A response's walker ID indexes the parked-walker table, so every
+// ID that does not name a currently parked walker — out of range, never
+// parked, or already resolved — must fail the run with an error, never an
+// index panic or a second resolution.
+func TestApplyResponsesRejectsUntrustedRecords(t *testing.T) {
+	const walkers, parkedID = 8, 2
+	records := func(ids ...int64) []byte {
+		var b []byte
+		for _, id := range ids {
+			b = binary.LittleEndian.AppendUint64(b, uint64(id))
+			b = binary.LittleEndian.AppendUint64(b, 0) // query result
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"negative ID", records(-1), "core: response for unknown walker -1"},
+		{"ID at NumWalkers", records(walkers), "core: response for unknown walker 8"},
+		{"ID far out of range", records(1 << 40), "core: response for unknown walker 1099511627776"},
+		{"ID not parked", records(3), "core: response for unknown walker 3"},
+		{"duplicate response", records(parkedID, parkedID), "core: response for unknown walker 2"},
+		{"malformed length", records(parkedID)[:15], "core: malformed response batch (15 bytes)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := newTestNode(t, Config{Graph: gen.UniformDegree(16, 4, 41), Algorithm: parityAlg(4), NumWalkers: walkers, Seed: 1})
+			// Park one walker on a dart that any result accepts.
+			w := n.walkers[parkedID]
+			w.awaiting, w.sampling, w.pendingEdge, w.pendingY = true, true, 0, 0
+			n.parkedByID[w.ID] = w
+
+			err := n.applyResponses(c.payload, n.loop)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("applyResponses error = %v, want %q", err, c.want)
+			}
+			if strings.HasPrefix(c.name, "duplicate") && (w.awaiting || n.parkedByID[parkedID] != nil || w.Step != 1) {
+				t.Fatalf("first response did not resolve walker %d exactly once: awaiting=%v step=%d", parkedID, w.awaiting, w.Step)
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsParkedWalkerOnFirstOrderWalk restores a walker parked
+// on a state query into a first-order run, which keeps no parked-walker
+// table: the snapshot must be refused, not indexed into a nil table.
+func TestRestoreRejectsParkedWalkerOnFirstOrderWalk(t *testing.T) {
+	n := newTestNode(t, Config{Graph: gen.UniformDegree(16, 4, 41), Algorithm: staticAlg(4), NumWalkers: 8, Seed: 1})
+	w := n.walkers[0]
+	w.awaiting, w.sampling = true, true
+	err := n.validateRestoredWalker(w, map[int64]struct{}{})
+	if want := "core: restored walker 0 awaits a state query, but static is not a higher-order walk"; err == nil || err.Error() != want {
+		t.Fatalf("validateRestoredWalker error = %v, want %q", err, want)
+	}
+}
+
+// newTestNode builds rank 0 of a 1-rank run of cfg, walkers seeded.
+func newTestNode(t *testing.T, cfg Config) *node {
+	t.Helper()
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	part, err := cfg.partition(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := newNode(0, &cfg, part, transport.NewInProcGroup(1)[0], &stats.Counters{}, newResult(&cfg), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

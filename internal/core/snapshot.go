@@ -143,12 +143,9 @@ func (n *node) resendPendingQueries() {
 		if !w.awaiting {
 			continue
 		}
-		var rec [queryRecordLen]byte
-		binary.LittleEndian.PutUint64(rec[0:], uint64(w.ID))
-		binary.LittleEndian.PutUint32(rec[8:], w.pendingTarget)
-		binary.LittleEndian.PutUint64(rec[12:], w.pendingArg)
-		n.ep.Send(n.part.Owner(w.pendingTarget), kQuery, rec[:])
+		n.loop.out.addQuery(n.part.Owner(w.pendingTarget), w.ID, w.pendingTarget, w.pendingArg)
 	}
+	n.loop.out.flush(n.ep, n.localMig)
 }
 
 // encodeSnapshot serializes this rank's state at the given superstep.
@@ -276,7 +273,7 @@ func (n *node) restoreSnapshot(rst *RestoreState) error {
 		}
 		n.walkers = append(n.walkers, w)
 		if w.awaiting {
-			n.awaiting[w.ID] = w
+			n.parkedByID[w.ID] = w
 		}
 	}
 	if got := int64(len(blob)) - int64(len(rest)); got != walkerEnd {
@@ -305,6 +302,9 @@ func (n *node) validateRestoredWalker(w *Walker, seen map[int64]struct{}) error 
 		return fmt.Errorf("core: restored walker %d at vertex %d not owned by rank %d", w.ID, w.Cur, n.rank)
 	}
 	if w.awaiting {
+		if n.parkedByID == nil {
+			return fmt.Errorf("core: restored walker %d awaits a state query, but %s is not a higher-order walk", w.ID, n.alg.Name)
+		}
 		if int(w.pendingEdge) < 0 || int(w.pendingEdge) >= n.g.Degree(w.Cur) {
 			return fmt.Errorf("core: restored walker %d pending edge %d outside degree %d", w.ID, w.pendingEdge, n.g.Degree(w.Cur))
 		}
