@@ -3,8 +3,11 @@ package dyngraph
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"knightking/internal/alg"
+	"knightking/internal/core"
 	"knightking/internal/gen"
 	"knightking/internal/graph"
 )
@@ -135,5 +138,62 @@ func BenchmarkCompact(b *testing.B) {
 		if _, err := d.Compact(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEngineOnOverlayEpoch prices a walk on an ingest epoch against
+// the same walk on a plain CSR: a biased DeepWalk job of 5k walkers × 40
+// steps on 2 ranks × 1 worker over a 100k-vertex power-law graph (the
+// kkserve request shape), at pending=0 (epoch 0, plain CSR) and after
+// sixteen 256-delta batches with half of every batch on the 16 top-degree
+// hubs. Every step resolves its vertex through the overlay lookup, so the
+// ns/step ratio of the two is what an overlay costs the step kernel.
+func BenchmarkEngineOnOverlayEpoch(b *testing.B) {
+	const (
+		n       = 100_000
+		walkers = 5000
+		length  = 40
+		batches = 16
+		size    = 256
+		hubs    = 16
+	)
+	base := gen.WithPowerLawWeights(gen.TruncatedPowerLaw(n, 4, 1000, 2.0, 151), 16, 2.0, 151)
+	byDegree := make([]graph.VertexID, n)
+	for i := range byDegree {
+		byDegree[i] = graph.VertexID(i)
+	}
+	sort.Slice(byDegree, func(i, j int) bool { return base.Degree(byDegree[i]) > base.Degree(byDegree[j]) })
+	for _, pending := range []int{0, batches} {
+		b.Run(fmt.Sprintf("pending=%dx%d", pending, size), func(b *testing.B) {
+			r := rand.New(rand.NewSource(152))
+			d, err := New(base, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for k := 0; k < pending; k++ {
+				batch := make([]Delta, size)
+				for i := range batch {
+					src := graph.VertexID(r.Intn(n))
+					if i%2 == 0 {
+						src = byDegree[r.Intn(hubs)]
+					}
+					batch[i] = Delta{Src: src, Dst: graph.VertexID(r.Intn(n)), Weight: float32(1 + 15*r.Float64())}
+				}
+				if _, err := d.Apply(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ep := d.Epoch()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Run(core.Config{
+					Graph: ep.View(), Algorithm: alg.DeepWalk(length, true), Samplers: ep,
+					NumNodes: 2, Workers: 1, NumWalkers: walkers, Seed: uint64(i),
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*walkers*length), "ns/step")
+		})
 	}
 }

@@ -38,7 +38,7 @@ func (d *DynGraph) compactLocked() (*Epoch, error) {
 	var store *samplerView
 	if prev.store != nil {
 		tabs := append([]sampling.StaticSampler(nil), prev.store.base...)
-		for i, v := range prev.store.verts {
+		for i, v := range d.verts { // the overlay vertex list of prev.view
 			tabs[v] = prev.store.tabs[i]
 		}
 		store = &samplerView{kind: prev.kind, base: tabs}
@@ -49,13 +49,13 @@ func (d *DynGraph) compactLocked() (*Epoch, error) {
 	}
 
 	ep := &Epoch{
-		seq:   prev.seq + 1,
-		view:  newBase,
-		fpSet: true,
-		fp:    graph.Fingerprint(newBase),
-		logFP: mixU64(prev.logFP, markCompact),
-		kind:  prev.kind,
-		store: store,
+		seq:     prev.seq + 1,
+		view:    newBase,
+		fpKnown: true,
+		fp:      graph.Fingerprint(newBase),
+		logFP:   mixU64(prev.logFP, markCompact),
+		kind:    prev.kind,
+		store:   store,
 	}
 
 	d.base = newBase

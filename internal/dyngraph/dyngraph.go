@@ -143,12 +143,12 @@ func New(base *graph.Graph, opt Options) (*DynGraph, error) {
 	}
 	fp := graph.Fingerprint(base)
 	d.cur.Store(&Epoch{
-		view:  base,
-		fpSet: true,
-		fp:    fp,
-		logFP: chainSeed(fp),
-		kind:  opt.SamplerKind,
-		store: store,
+		view:    base,
+		fpKnown: true,
+		fp:      fp,
+		logFP:   chainSeed(fp),
+		kind:    opt.SamplerKind,
+		store:   store,
 	})
 	return d, nil
 }
@@ -315,7 +315,7 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 	}
 
 	prev := d.cur.Load()
-	store, err := prev.store.extend(verts, segs, touched, d.opt.SamplerKind)
+	store, err := prev.store.extend(prev.view, verts, segs, touched, d.opt.SamplerKind)
 	if err != nil {
 		return nil, err
 	}
@@ -336,17 +336,12 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 		logFP = mixU64(logFP, uint64(uint32(del.Type)))
 	}
 
-	nv, deltaEdges := view.OverlayStats()
 	ep := &Epoch{
-		seq:  prev.seq + 1,
-		view: view,
-		// fp stays lazy: hashing the whole view here would make every
-		// Apply O(V+E) and sink the O(affected-vertex) ingest bound.
-		logFP:      logFP,
-		kind:       d.opt.SamplerKind,
-		store:      store,
-		deltaVerts: nv,
-		deltaEdges: deltaEdges,
+		seq:   prev.seq + 1,
+		view:  view,
+		logFP: logFP,
+		kind:  d.opt.SamplerKind,
+		store: store,
 	}
 
 	d.verts, d.segs, d.envs = verts, segs, envs
@@ -405,10 +400,11 @@ func (d *DynGraph) Metrics() Metrics {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	ep := d.cur.Load()
+	dv, de := ep.DeltaStats()
 	return Metrics{
 		Epoch:          ep.seq,
-		DeltaVertices:  ep.deltaVerts,
-		DeltaEdges:     ep.deltaEdges,
+		DeltaVertices:  dv,
+		DeltaEdges:     de,
 		PendingDeltas:  d.pending,
 		AppliedBatches: d.appliedBatches,
 		AppliedDeltas:  d.appliedDeltas,

@@ -165,6 +165,9 @@ func TestApplyMatchesRebuilt(t *testing.T) {
 				if graph.Fingerprint(ep.View().Compacted()) != graph.Fingerprint(want) {
 					t.Fatalf("round %d: overlay view diverged from the rebuilt-from-scratch CSR", round)
 				}
+				if _, ok := ep.Fingerprint(); ok {
+					t.Fatalf("round %d: ingest epoch claims a content fingerprint", round)
+				}
 				if ep.Seq() != uint64(round+1) {
 					t.Fatalf("round %d: epoch seq %d", round, ep.Seq())
 				}
@@ -180,6 +183,9 @@ func TestApplyMatchesRebuilt(t *testing.T) {
 			if graph.Fingerprint(ep.View()) != graph.Fingerprint(m.rebuild()) {
 				t.Fatal("compacted CSR differs from the rebuilt-from-scratch CSR")
 			}
+			if fp, ok := ep.Fingerprint(); !ok || fp != graph.Fingerprint(m.rebuild()) {
+				t.Fatalf("compacted epoch fingerprint (%x, %v), want the rebuilt CSR's", fp, ok)
+			}
 		})
 	}
 }
@@ -193,7 +199,10 @@ func TestEpochImmutability(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep0 := d.Epoch()
-	fp0 := ep0.Fingerprint()
+	fp0, ok := ep0.Fingerprint()
+	if !ok {
+		t.Fatal("epoch 0 does not know its content fingerprint")
+	}
 	deg0 := ep0.View().Degree(3)
 
 	if _, err := d.Apply([]Delta{{Src: 3, Dst: 7, Weight: 2}, {Src: 3, Dst: 9, Weight: 4}}); err != nil {
@@ -207,7 +216,7 @@ func TestEpochImmutability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if ep0.Fingerprint() != fp0 || graph.Fingerprint(ep0.View()) != fp0 {
+	if fp, _ := ep0.Fingerprint(); fp != fp0 || graph.Fingerprint(ep0.View()) != fp0 {
 		t.Fatal("epoch 0 content changed under later writes")
 	}
 	if ep0.View().Degree(3) != deg0 {
@@ -354,7 +363,7 @@ func TestCrashDuringCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := d.Epoch()
-	beforeFP := before.Fingerprint()
+	beforeFP := graph.Fingerprint(before.View().Compacted())
 
 	testHookMidCompact = func() { panic("injected compaction crash") }
 	func() {

@@ -2,18 +2,16 @@ package dyngraph
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"knightking/internal/graph"
 	"knightking/internal/sampling"
 )
 
 // Epoch is one immutable published snapshot of a dynamic graph: a
-// consistent graph view, its content fingerprint, the delta-log chain
-// fingerprint, and the prebuilt per-vertex static sampler tables. Jobs
-// pin the epoch they admit on and use it for their whole life; nothing
-// a writer does later can disturb it.
+// consistent graph view, the delta-log chain fingerprint (plus the
+// content fingerprint where it is known), and the prebuilt per-vertex
+// static sampler tables. Jobs pin the epoch they admit on and use it for
+// their whole life; nothing a writer does later can disturb it.
 //
 // Epoch implements core.SamplerProvider, so the engine samples from the
 // incrementally maintained tables instead of rebuilding them per run.
@@ -21,20 +19,14 @@ type Epoch struct {
 	seq  uint64
 	view *graph.Graph
 
-	// fp is the O(V+E) content hash. Known at construction for epoch 0
-	// and post-compaction epochs (fpSet); computed lazily on first query
-	// for ingest epochs, so Apply stays O(affected-vertex) — the log
-	// fingerprint, maintained in O(batch), is the eager identity.
-	fpSet  bool
-	fpOnce sync.Once
-	fp     uint64
+	// fp is the O(V+E) content hash, known only for epoch 0 and
+	// post-compaction epochs, which hash a fresh plain CSR anyway.
+	fpKnown bool
+	fp      uint64
 
 	logFP uint64
 	kind  string
 	store *samplerView
-
-	deltaVerts int
-	deltaEdges int64
 }
 
 // Seq returns the epoch sequence number (0 = the loaded base).
@@ -44,18 +36,10 @@ func (e *Epoch) Seq() uint64 { return e.seq }
 // every epoch right after a compaction; an overlay view otherwise.
 func (e *Epoch) View() *graph.Graph { return e.view }
 
-// Fingerprint returns the canonical content hash of the epoch:
-// graph.Fingerprint of the compacted view, so it is representation-
-// independent — an overlay epoch and the plain CSR holding the same
-// edges hash identically, and ingest followed by compaction that lands
-// back on the base content reports the base fingerprint. Computed on
-// first call for ingest epochs and cached; safe from any goroutine.
-func (e *Epoch) Fingerprint() uint64 {
-	if !e.fpSet {
-		e.fpOnce.Do(func() { e.fp = graph.Fingerprint(e.view.Compacted()) })
-	}
-	return e.fp
-}
+// Fingerprint returns graph.Fingerprint of the epoch's plain CSR view and
+// true, for epoch 0 and post-compaction epochs. Ingest epochs report
+// false: hashing them costs O(V+E), so Apply never does; compact first.
+func (e *Epoch) Fingerprint() (uint64, bool) { return e.fp, e.fpKnown }
 
 // LogFingerprint returns the delta-log chain hash: a pure function of
 // the base fingerprint, every applied batch in order, and compaction
@@ -66,7 +50,7 @@ func (e *Epoch) LogFingerprint() uint64 { return e.logFP }
 // DeltaStats reports the overlay size at this epoch: vertices with
 // replacement segments, and the net edge delta versus the base.
 func (e *Epoch) DeltaStats() (verts int, edges int64) {
-	return e.deltaVerts, e.deltaEdges
+	return e.view.OverlayStats()
 }
 
 // StaticSampler returns the prebuilt weight-proportional sampler for v,
@@ -77,7 +61,10 @@ func (e *Epoch) StaticSampler(v graph.VertexID) sampling.StaticSampler {
 	if e.store == nil {
 		return nil
 	}
-	return e.store.sampler(v)
+	if i := e.view.OverlayIndex(v); i >= 0 {
+		return e.store.tabs[i]
+	}
+	return e.store.base[v]
 }
 
 // StaticKind returns the sampler kind the tables were built with
@@ -86,46 +73,33 @@ func (e *Epoch) StaticSampler(v graph.VertexID) sampling.StaticSampler {
 func (e *Epoch) StaticKind() string { return e.kind }
 
 // samplerView is an epoch's per-vertex static sampler table: a dense
-// base table (index = vertex) plus a sorted overlay list for vertices
-// whose adjacency diverged from the base. Both levels are shared by
-// pointer across epochs; an Apply only allocates tables for the
-// vertices it touched.
+// base table (index = vertex) plus tabs, parallel to the epoch view's
+// overlay vertex list, for vertices whose adjacency diverged from the
+// base. Both levels are shared by pointer across epochs; an Apply only
+// allocates tables for the vertices it touched.
 type samplerView struct {
 	kind string
 	base []sampling.StaticSampler
-
-	verts []graph.VertexID
-	tabs  []sampling.StaticSampler
+	tabs []sampling.StaticSampler
 }
 
-// sampler resolves v's table: overlay first, then base. nil for
-// zero-degree vertices.
-func (s *samplerView) sampler(v graph.VertexID) sampling.StaticSampler {
-	i := sort.Search(len(s.verts), func(i int) bool { return s.verts[i] >= v })
-	if i < len(s.verts) && s.verts[i] == v {
-		return s.tabs[i]
-	}
-	return s.base[v]
-}
-
-// extend produces the next epoch's view over the updated overlay state:
-// tables are rebuilt only where touched[i] is set (O(degree) each);
-// every other overlay vertex keeps the previous epoch's table by
-// pointer lookup. nil receiver (unweighted graph) stays nil.
-func (s *samplerView) extend(verts []graph.VertexID, segs [][]edgeRec, touched []bool, kind string) (*samplerView, error) {
+// extend produces the next epoch's tables over the updated overlay
+// state, rebuilding only where touched[i] is set (O(degree) each); every
+// other vertex is overlaid in prev, the view s belongs to, and keeps its
+// table by pointer. nil receiver (unweighted graph) stays nil.
+func (s *samplerView) extend(prev *graph.Graph, verts []graph.VertexID, segs [][]edgeRec, touched []bool, kind string) (*samplerView, error) {
 	if s == nil {
 		return nil, nil
 	}
 	out := &samplerView{
-		kind:  kind,
-		base:  s.base,
-		verts: verts,
-		tabs:  make([]sampling.StaticSampler, len(verts)),
+		kind: kind,
+		base: s.base,
+		tabs: make([]sampling.StaticSampler, len(verts)),
 	}
 	weights := make([]float32, 0, 64)
 	for i, v := range verts {
 		if !touched[i] {
-			out.tabs[i] = s.sampler(v)
+			out.tabs[i] = s.tabs[prev.OverlayIndex(v)]
 			continue
 		}
 		seg := segs[i]

@@ -8,6 +8,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -63,6 +64,8 @@ func (g *Graph) Weighted() bool { return g.weight != nil }
 func (g *Graph) Typed() bool { return g.etype != nil }
 
 // Degree returns the out-degree of v.
+//
+//kk:hotpath
 func (g *Graph) Degree(v VertexID) int {
 	g.checkOwned(v)
 	if g.over != nil {
@@ -76,6 +79,8 @@ func (g *Graph) Degree(v VertexID) int {
 // Neighbors returns the destination slice for v's out-edges, sorted by
 // destination ID. The slice aliases internal storage and must not be
 // modified.
+//
+//kk:hotpath
 func (g *Graph) Neighbors(v VertexID) []VertexID {
 	g.checkOwned(v)
 	if g.over != nil {
@@ -88,6 +93,8 @@ func (g *Graph) Neighbors(v VertexID) []VertexID {
 
 // Weights returns the weight slice for v's out-edges, parallel to
 // Neighbors(v), or nil for an unweighted graph.
+//
+//kk:hotpath
 func (g *Graph) Weights(v VertexID) []float32 {
 	g.checkOwned(v)
 	if g.weight == nil {
@@ -103,6 +110,8 @@ func (g *Graph) Weights(v VertexID) []float32 {
 
 // Types returns the edge-type slice for v's out-edges, parallel to
 // Neighbors(v), or nil for an untyped graph.
+//
+//kk:hotpath
 func (g *Graph) Types(v VertexID) []int32 {
 	g.checkOwned(v)
 	if g.etype == nil {
@@ -118,6 +127,8 @@ func (g *Graph) Types(v VertexID) []int32 {
 
 // EdgeAt returns v's i-th out-edge. Unweighted graphs report weight 1,
 // untyped graphs report type 0.
+//
+//kk:hotpath
 func (g *Graph) EdgeAt(v VertexID, i int) Edge {
 	g.checkOwned(v)
 	if g.over != nil {
@@ -145,6 +156,8 @@ func (g *Graph) EdgeAt(v VertexID, i int) Edge {
 }
 
 // EdgeWeight returns the weight of v's i-th out-edge (1 if unweighted).
+//
+//kk:hotpath
 func (g *Graph) EdgeWeight(v VertexID, i int) float32 {
 	g.checkOwned(v)
 	if g.weight == nil {
@@ -161,10 +174,11 @@ func (g *Graph) EdgeWeight(v VertexID, i int) float32 {
 // HasEdge reports whether the directed edge u->v exists, by binary search
 // over u's sorted adjacency. This is the primitive behind the engine's
 // neighborhood state queries (node2vec's d_tx test).
+//
+//kk:hotpath
 func (g *Graph) HasEdge(u, v VertexID) bool {
-	adj := g.Neighbors(u)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	return i < len(adj) && adj[i] == v
+	_, found := slices.BinarySearch(g.Neighbors(u), v)
+	return found
 }
 
 // TotalWeight returns the sum of edge weights at v (the degree for an
@@ -186,6 +200,8 @@ func (g *Graph) TotalWeight(v VertexID) float64 {
 // than the true maximum, but possibly loose after deletions until the
 // next compaction. Envelope consumers (rejection Q(v), outlier widths)
 // stay exact under a loose bound — it only costs extra trials.
+//
+//kk:hotpath
 func (g *Graph) MaxWeight(v VertexID) float64 {
 	if g.Degree(v) == 0 {
 		return 0

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
 // Overlay support: a Graph may carry an overlay — per-vertex replacement
@@ -15,15 +15,19 @@ import (
 // of the overlay arrays only), so concurrent walks on older epochs are
 // never disturbed.
 //
-// Lookup cost is one nil check for plain graphs and one binary search
-// over the (small, compaction-bounded) modified-vertex list for overlay
-// graphs; the base arrays are never copied.
+// Lookup cost is one nil check for plain graphs and two array loads
+// through a page table for overlay graphs, so a step on an epoch costs
+// the same as on a plain CSR; the base arrays are never copied.
 type overlayData struct {
 	// verts lists the vertices whose adjacency is replaced, strictly
 	// increasing. offs is the CSR-style offset array into the segment
 	// arrays below (len(verts)+1 entries, offs[0] == 0).
 	verts []VertexID
 	offs  []int64
+
+	// pages[v>>overlayPageBits][v&overlayPageMask] holds v's slot in verts
+	// plus one (0 = base); a page with no overlaid vertex is nil.
+	pages [][]int32
 
 	// Replacement adjacency, concatenated in verts order; each segment is
 	// sorted by destination. weight and etype are present exactly when the
@@ -45,14 +49,22 @@ type overlayData struct {
 	edgeDelta int64
 }
 
+// An overlay page covers 4,096 vertices: 16 KiB of slots.
+const (
+	overlayPageBits = 12
+	overlayPageMask = 1<<overlayPageBits - 1
+)
+
 // find returns the overlay index of v, or -1 when v's adjacency comes
 // from the base arrays.
+//
+//kk:hotpath
 func (o *overlayData) find(v VertexID) int {
-	i := sort.Search(len(o.verts), func(i int) bool { return o.verts[i] >= v })
-	if i < len(o.verts) && o.verts[i] == v {
-		return i
+	page := o.pages[v>>overlayPageBits]
+	if page == nil {
+		return -1
 	}
-	return -1
+	return int(page[v&overlayPageMask]) - 1
 }
 
 // NewOverlay returns a view of base with the adjacency of verts[i]
@@ -94,6 +106,10 @@ func NewOverlay(base *Graph, verts []VertexID, offs []int64, dst []VertexID, wei
 	if base.weight != nil && len(maxW) != len(verts) {
 		return nil, fmt.Errorf("graph: overlay maxW length %d, want %d", len(maxW), len(verts))
 	}
+	if len(verts) >= math.MaxInt32 {
+		return nil, fmt.Errorf("graph: overlay of %d vertices exceeds the slot range", len(verts))
+	}
+	pages := make([][]int32, (n+overlayPageMask)>>overlayPageBits)
 	baseDeg := int64(0)
 	for i, v := range verts {
 		if int(v) >= n {
@@ -124,6 +140,10 @@ func NewOverlay(base *Graph, verts []VertexID, offs []int64, dst []VertexID, wei
 			return nil, fmt.Errorf("graph: overlay maxW[%d] = %v below actual max %v at vertex %d", i, maxW[i], segMax, v)
 		}
 		baseDeg += base.offsets[v+1] - base.offsets[v]
+		if pages[v>>overlayPageBits] == nil {
+			pages[v>>overlayPageBits] = make([]int32, overlayPageMask+1)
+		}
+		pages[v>>overlayPageBits][v&overlayPageMask] = int32(i + 1)
 	}
 	if len(dst) > 0 && int64(len(dst)) != offs[len(offs)-1] {
 		return nil, fmt.Errorf("graph: overlay dst length %d != offs end %d", len(dst), offs[len(offs)-1])
@@ -136,6 +156,7 @@ func NewOverlay(base *Graph, verts []VertexID, offs []int64, dst []VertexID, wei
 		over: &overlayData{
 			verts:     verts,
 			offs:      offs,
+			pages:     pages,
 			dst:       dst,
 			weight:    weight,
 			etype:     etype,
@@ -148,6 +169,18 @@ func NewOverlay(base *Graph, verts []VertexID, offs []int64, dst []VertexID, wei
 // Overlaid reports whether this graph is an overlay view (a dynamic-graph
 // epoch materialization) rather than a plain CSR.
 func (g *Graph) Overlaid() bool { return g.over != nil }
+
+// OverlayIndex returns v's position in the overlay vertex list given to
+// NewOverlay, or -1 when v reads the base arrays (always, for plain
+// graphs), in O(1).
+//
+//kk:hotpath
+func (g *Graph) OverlayIndex(v VertexID) int {
+	if g.over == nil {
+		return -1
+	}
+	return g.over.find(v)
+}
 
 // OverlayStats reports the overlay's size: how many vertices have
 // replacement segments and the net edge-count delta versus the base.

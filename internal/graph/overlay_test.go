@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -240,4 +242,126 @@ func TestOverlaySerializationGuards(t *testing.T) {
 		}
 	}()
 	Subgraph(over, 0, 2)
+}
+
+// TestOverlayPageTableEquivalence: the page-table lookup resolves every
+// vertex exactly as a graph rebuilt from scratch does — across page
+// boundaries, on a |V| that is not a multiple of the page size, and for
+// an empty overlay — and OverlayIndex and MaxWeight report the overlay
+// slot and its maintained bound.
+func TestOverlayPageTableEquivalence(t *testing.T) {
+	const n = 2*(overlayPageMask+1) + 517 // the last page is partial
+	r := rand.New(rand.NewSource(5))
+	b := NewBuilder(n).SetDedup(true)
+	for i := 0; i < 4*n; i++ {
+		b.AddTypedEdge(VertexID(r.Intn(n)), VertexID(r.Intn(n)), float32(1+r.Intn(8)), int32(r.Intn(3)))
+	}
+	base := b.Build()
+
+	random := map[VertexID]bool{0: true, 4095: true, 4096: true, n - 1: true}
+	for len(random) < 300 {
+		random[VertexID(r.Intn(n))] = true
+	}
+	randomVerts := make([]VertexID, 0, len(random))
+	for v := range random {
+		randomVerts = append(randomVerts, v)
+	}
+	slices.Sort(randomVerts)
+
+	for _, tc := range []struct {
+		name  string
+		verts []VertexID
+	}{
+		{"empty", []VertexID{}},
+		{"page-boundaries", []VertexID{0, 4095, 4096, n - 1}},
+		{"random", randomVerts},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Segments of degree 0..6 with distinct sorted destinations, and
+			// maintained bounds deliberately above the segment maxima.
+			offs := []int64{0}
+			dst, weight, etype := []VertexID{}, []float32{}, []int32{}
+			maxW := make([]float64, len(tc.verts))
+			slot := make(map[VertexID]int, len(tc.verts))
+			want := NewBuilder(n)
+			for i, v := range tc.verts {
+				slot[v] = i
+				seg := map[VertexID]bool{}
+				for k := r.Intn(7); len(seg) < k; {
+					seg[VertexID(r.Intn(n))] = true
+				}
+				ds := make([]VertexID, 0, len(seg))
+				for d := range seg {
+					ds = append(ds, d)
+				}
+				slices.Sort(ds)
+				for _, d := range ds {
+					w, ty := float32(1+r.Intn(20)), int32(r.Intn(3))
+					dst, weight, etype = append(dst, d), append(weight, w), append(etype, ty)
+					maxW[i] = max(maxW[i], float64(w))
+					want.AddTypedEdge(v, d, w, ty)
+				}
+				maxW[i] += 0.5
+				offs = append(offs, int64(len(dst)))
+			}
+			for v := 0; v < n; v++ {
+				if _, ok := slot[VertexID(v)]; ok {
+					continue
+				}
+				for i := 0; i < base.Degree(VertexID(v)); i++ {
+					e := base.EdgeAt(VertexID(v), i)
+					want.AddTypedEdge(VertexID(v), e.Dst, e.Weight, e.Type)
+				}
+			}
+			rebuilt := want.Build()
+			over, err := NewOverlay(base, tc.verts, offs, dst, weight, etype, maxW)
+			if err != nil {
+				t.Fatalf("NewOverlay: %v", err)
+			}
+			if Fingerprint(over.Compacted()) != Fingerprint(rebuilt) {
+				t.Fatal("Compacted() differs from the rebuilt-from-scratch graph")
+			}
+
+			for v := 0; v < n; v++ {
+				id := VertexID(v)
+				i, overlaid := slot[id]
+				if !overlaid {
+					i = -1
+				}
+				if got := over.OverlayIndex(id); got != i {
+					t.Fatalf("OverlayIndex(%d) = %d, want %d", v, got, i)
+				}
+				deg := rebuilt.Degree(id)
+				if over.Degree(id) != deg ||
+					!slices.Equal(over.Neighbors(id), rebuilt.Neighbors(id)) ||
+					!slices.Equal(over.Weights(id), rebuilt.Weights(id)) ||
+					!slices.Equal(over.Types(id), rebuilt.Types(id)) {
+					t.Fatalf("vertex %d: adjacency differs from the rebuilt graph", v)
+				}
+				for k := 0; k < deg; k++ {
+					if over.EdgeAt(id, k) != rebuilt.EdgeAt(id, k) || over.EdgeWeight(id, k) != rebuilt.EdgeWeight(id, k) {
+						t.Fatalf("vertex %d: edge %d differs from the rebuilt graph", v, k)
+					}
+				}
+				for _, u := range append(rebuilt.Neighbors(id)[:deg:deg], VertexID(r.Intn(n)), VertexID(r.Intn(n))) {
+					if over.HasEdge(id, u) != rebuilt.HasEdge(id, u) {
+						t.Fatalf("HasEdge(%d,%d) differs from the rebuilt graph", v, u)
+					}
+				}
+				wantMax := base.MaxWeight(id)
+				switch {
+				case deg == 0:
+					wantMax = 0
+				case overlaid:
+					wantMax = maxW[i]
+				}
+				if got := over.MaxWeight(id); got != wantMax {
+					t.Fatalf("MaxWeight(%d) = %v, want %v", v, got, wantMax)
+				}
+			}
+		})
+	}
+	if got := base.OverlayIndex(7); got != -1 {
+		t.Fatalf("OverlayIndex on a plain graph = %d, want -1", got)
+	}
 }

@@ -200,7 +200,7 @@ func (g *Graph) Partial() bool { return g.partial }
 // that is always an ownership bug in the caller.
 func (g *Graph) checkOwned(v VertexID) {
 	if g.partial && (v < g.ownedLo || v >= g.ownedHi) {
-		panic(fmt.Sprintf("graph: access to vertex %d outside owned range [%d,%d)",
+		panic(fmt.Sprintf("graph: access to vertex %d outside owned range [%d,%d)", //kk:alloc-ok panic path: an ownership bug aborts the run, never steady state
 			v, g.ownedLo, g.ownedHi))
 	}
 }

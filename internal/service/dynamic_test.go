@@ -2,8 +2,11 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +14,7 @@ import (
 
 	"knightking/internal/dyngraph"
 	"knightking/internal/gen"
+	"knightking/internal/graph"
 )
 
 // weightedService mounts a service with one weighted registered graph.
@@ -54,17 +58,36 @@ func TestIngestAndCompactEndpoints(t *testing.T) {
 		t.Fatalf("fresh graph not at epoch 0 with base fingerprint: %+v", info)
 	}
 
-	// A valid batch publishes epoch 1.
-	var ir ingestResponse
+	// A valid batch publishes epoch 1. Its response identifies the epoch
+	// by the O(batch) log fingerprint only: the content hash of an ingest
+	// epoch would cost a full-graph pass.
+	var raw json.RawMessage
 	batch := ingestRequest{Edges: []dyngraph.Delta{
 		{Src: 0, Dst: 100},
 		{Src: 1, Dst: 101},
 	}}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/graphs/uni200/edges", batch, &ir); code != http.StatusOK {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/graphs/uni200/edges", batch, &raw); code != http.StatusOK {
 		t.Fatalf("POST edges: status %d", code)
+	}
+	var ir ingestResponse
+	var fields struct {
+		Graph map[string]any `json:"graph"`
+	}
+	if err := json.Unmarshal(raw, &ir); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
 	}
 	if ir.Applied != 2 || ir.Graph.Epoch != 1 {
 		t.Fatalf("ingest response wrong: %+v", ir)
+	}
+	if _, ok := fields.Graph["epoch_fingerprint"]; ok {
+		t.Fatalf("ingest response carries epoch_fingerprint: %s", raw)
+	}
+	if ir.Graph.EpochLogFingerprint == "" || ir.Graph.EpochLogFingerprint == info.EpochLogFingerprint {
+		t.Fatalf("ingest response log fingerprint %q, want a new non-empty one (epoch 0: %q)",
+			ir.Graph.EpochLogFingerprint, info.EpochLogFingerprint)
 	}
 
 	// An invalid batch is rejected atomically: 400, epoch unchanged.
@@ -89,6 +112,21 @@ func TestIngestAndCompactEndpoints(t *testing.T) {
 	}
 	if after.Epoch != 2 || after.DeltaVertices != 0 || after.DeltaEdges != 0 {
 		t.Fatalf("post-compaction info wrong: %+v", after)
+	}
+	// Compaction is the explicit way to obtain the live content's canonical
+	// hash: it must equal the hash of the same edges built from scratch.
+	base := gen.UniformDegree(200, 8, 7)
+	b := graph.NewBuilder(base.NumVertices()).SetDedup(true)
+	for v := 0; v < base.NumVertices(); v++ {
+		for _, d := range base.Neighbors(graph.VertexID(v)) {
+			b.AddEdge(graph.VertexID(v), d)
+		}
+	}
+	for _, d := range batch.Edges {
+		b.AddEdge(d.Src, d.Dst)
+	}
+	if want := fmt.Sprintf("%016x", graph.Fingerprint(b.Build())); after.EpochFingerprint != want {
+		t.Fatalf("compacted epoch_fingerprint %q, want the rebuilt graph's %q", after.EpochFingerprint, want)
 	}
 	if code := doJSON(t, http.MethodPost, ts.URL+"/graphs/nope/compact", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("unknown graph compact: status %d, want 404", code)
@@ -172,8 +210,8 @@ func TestJobPinsAdmissionEpoch(t *testing.T) {
 	if post.Epoch != 1 {
 		t.Fatalf("post-ingest job admitted on epoch %d, want 1", post.Epoch)
 	}
-	if post.EpochFingerprint == target.EpochFingerprint {
-		t.Fatal("distinct epochs report the same fingerprint")
+	if post.EpochLogFingerprint == target.EpochLogFingerprint {
+		t.Fatal("distinct epochs report the same log fingerprint")
 	}
 
 	// Release the worker; the target must reproduce the control exactly.
@@ -184,8 +222,8 @@ func TestJobPinsAdmissionEpoch(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("target ended %s (err %q)", final.State, final.Error)
 	}
-	if final.Epoch != 0 {
-		t.Fatalf("target ran on epoch %d, want its admission epoch 0", final.Epoch)
+	if final.EpochID != target.EpochID {
+		t.Fatalf("target reports epoch %+v, want its admission epoch %+v", final.EpochID, target.EpochID)
 	}
 	var targetRes JobResult
 	if code := doJSON(t, http.MethodGet, ts.URL+"/jobs/"+target.ID+"/result", nil, &targetRes); code != http.StatusOK {
@@ -243,5 +281,97 @@ func TestAutoCompactionOverHTTP(t *testing.T) {
 	got := graphInfo(t, ts.URL, "w300")
 	if got.Epoch != 3 || got.DeltaEdges != 0 || got.DeltaVertices != 0 {
 		t.Fatalf("auto-compaction did not run: %+v", got)
+	}
+}
+
+// TestTerminalJobsReleaseTheirEpoch: however a job ends — done, failed,
+// cancelled while running or while queued, or drained by Shutdown — it
+// drops its pinned epoch, so retained records do not keep old base CSRs
+// and sampler tables alive, and its status still reports the identity of
+// the epoch it was admitted on.
+func TestTerminalJobsReleaseTheirEpoch(t *testing.T) {
+	// A checkpoint root that is a regular file makes checkpointing jobs
+	// fail at engine set-up.
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := writeFile(notDir, "x"); err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Workers: 1, CheckpointRoot: notDir})
+	if _, err := svc.Graphs.Register("w300", gen.WithUniformWeights(gen.UniformDegree(300, 6, 21), 1, 5, 22)); err != nil {
+		t.Fatal(err)
+	}
+	dyn, _ := svc.Graphs.Get("w300")
+	ingest := func(dst graph.VertexID) {
+		t.Helper()
+		if _, err := dyn.Apply([]dyngraph.Delta{{Src: 5, Dst: dst, Weight: 9}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(250) // admit every job on an ingest epoch
+
+	short := JobSpec{Graph: "w300", Alg: "deepwalk", Biased: true, Length: 10, Seed: 1, Walkers: 50}
+	long := JobSpec{Graph: "w300", Alg: "deepwalk", Length: 100000, Seed: 2, Walkers: 300}
+	failing := short
+	failing.CheckpointEvery = 1
+	admitted := map[*Job]EpochID{}
+	submit := func(spec JobSpec) *Job {
+		t.Helper()
+		j, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		admitted[j] = j.Status().EpochID
+		return j
+	}
+	await := func(j *Job, done func(JobState) bool) {
+		t.Helper()
+		for stop := time.Now().Add(30 * time.Second); !done(j.Status().State); time.Sleep(time.Millisecond) {
+			if time.Now().After(stop) {
+				t.Fatalf("job %s stuck in %s", j.ID, j.Status().State)
+			}
+		}
+	}
+	running := func(s JobState) bool { return s == StateRunning }
+
+	jobs := map[string]*Job{}
+	jobs["done"] = submit(short)
+	await(jobs["done"], JobState.Terminal)
+	jobs["failed"] = submit(failing)
+	await(jobs["failed"], JobState.Terminal)
+	jobs["cancelled-running"] = submit(long)
+	await(jobs["cancelled-running"], running)
+	if _, err := svc.sched.Cancel(jobs["cancelled-running"].ID); err != nil {
+		t.Fatal(err)
+	}
+	await(jobs["cancelled-running"], JobState.Terminal)
+	jobs["shutdown-running"] = submit(long)
+	await(jobs["shutdown-running"], running)
+	jobs["cancelled-queued"] = submit(short)
+	if _, err := svc.sched.Cancel(jobs["cancelled-queued"].ID); err != nil {
+		t.Fatal(err)
+	}
+	jobs["shutdown-queued"] = submit(short)
+	ingest(251) // the graph moves on; statuses must keep the admission epoch
+	svc.Close()
+
+	want := map[string]JobState{
+		"done": StateDone, "failed": StateFailed,
+		"cancelled-running": StateCancelled, "cancelled-queued": StateCancelled,
+		"shutdown-running": StateCancelled, "shutdown-queued": StateCancelled,
+	}
+	for name, j := range jobs {
+		st := j.Status()
+		j.mu.Lock()
+		pinned := j.epoch != nil
+		j.mu.Unlock()
+		if st.State != want[name] {
+			t.Errorf("%s: state %s (err %q), want %s", name, st.State, st.Error, want[name])
+		}
+		if pinned {
+			t.Errorf("%s: terminal job still pins its epoch", name)
+		}
+		if st.EpochID != admitted[j] || st.Epoch != 1 || st.EpochLogFingerprint == "" || st.EpochFingerprint != "" {
+			t.Errorf("%s: status reports epoch %+v, want the admission epoch %+v", name, st.EpochID, admitted[j])
+		}
 	}
 }

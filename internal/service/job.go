@@ -221,10 +221,12 @@ type Job struct {
 	ID   string
 	Spec JobSpec // normalized at submission
 
-	// epoch is the graph epoch pinned at admission: the job validates,
-	// runs, and reports against this immutable snapshot for its whole
-	// life, no matter how many deltas land after it was submitted.
-	epoch *dyngraph.Epoch
+	// epoch is the graph epoch pinned at admission: the job validates and
+	// runs against this immutable snapshot whatever lands after. Guarded
+	// by mu and set to nil once the job is terminal, so a retained record
+	// pins no old base CSR; epochID keeps reporting it.
+	epoch   *dyngraph.Epoch
+	epochID EpochID
 
 	// cancel is closed (once) to request a cooperative engine abort; it is
 	// wired into core.Config.Cancel.
@@ -270,19 +272,18 @@ type JobStatus struct {
 	ID    string   `json:"id"`
 	State JobState `json:"state"`
 	Graph string   `json:"graph"`
-	// Epoch and EpochFingerprint identify the graph snapshot the job was
-	// pinned to at admission.
-	Epoch            uint64    `json:"epoch"`
-	EpochFingerprint string    `json:"epoch_fingerprint"`
-	Alg              string    `json:"alg"`
-	Seed             uint64    `json:"seed"`
-	Walkers          int       `json:"walkers"`
-	Error            string    `json:"error,omitempty"`
-	CheckpointDir    string    `json:"checkpoint_dir,omitempty"`
-	Trace            bool      `json:"trace,omitempty"`
-	SubmittedAt      time.Time `json:"submitted_at"`
-	StartedAt        time.Time `json:"started_at,omitzero"`
-	FinishedAt       time.Time `json:"finished_at,omitzero"`
+	// EpochID identifies the graph snapshot the job was pinned to at
+	// admission.
+	EpochID
+	Alg           string    `json:"alg"`
+	Seed          uint64    `json:"seed"`
+	Walkers       int       `json:"walkers"`
+	Error         string    `json:"error,omitempty"`
+	CheckpointDir string    `json:"checkpoint_dir,omitempty"`
+	Trace         bool      `json:"trace,omitempty"`
+	SubmittedAt   time.Time `json:"submitted_at"`
+	StartedAt     time.Time `json:"started_at,omitzero"`
+	FinishedAt    time.Time `json:"finished_at,omitzero"`
 }
 
 // Status snapshots the job's public state.
@@ -290,20 +291,19 @@ func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return JobStatus{
-		ID:               j.ID,
-		State:            j.state,
-		Graph:            j.Spec.Graph,
-		Epoch:            j.epoch.Seq(),
-		EpochFingerprint: fmt.Sprintf("%016x", j.epoch.Fingerprint()),
-		Alg:              j.Spec.Alg,
-		Seed:             j.Spec.Seed,
-		Walkers:          j.Spec.Walkers,
-		Error:            j.errMsg,
-		CheckpointDir:    j.ckptDir,
-		Trace:            j.Spec.Trace,
-		SubmittedAt:      j.submitted,
-		StartedAt:        j.started,
-		FinishedAt:       j.finished,
+		ID:            j.ID,
+		State:         j.state,
+		Graph:         j.Spec.Graph,
+		EpochID:       j.epochID,
+		Alg:           j.Spec.Alg,
+		Seed:          j.Spec.Seed,
+		Walkers:       j.Spec.Walkers,
+		Error:         j.errMsg,
+		CheckpointDir: j.ckptDir,
+		Trace:         j.Spec.Trace,
+		SubmittedAt:   j.submitted,
+		StartedAt:     j.started,
+		FinishedAt:    j.finished,
 	}
 }
 

@@ -23,17 +23,32 @@ type GraphInfo struct {
 	// Fingerprint is the registered base graph's content hash rendered as
 	// 16 hex digits — the identity behind the name, stable across ingest.
 	Fingerprint string `json:"fingerprint"`
-	// Epoch is the current published epoch sequence (0 = the loaded base).
-	Epoch uint64 `json:"epoch"`
-	// EpochFingerprint is the current epoch's content hash — equal to
-	// Fingerprint at epoch 0, and again whenever ingest+compaction lands
-	// back on the same content.
-	EpochFingerprint string `json:"epoch_fingerprint"`
+	// EpochID identifies the current published epoch.
+	EpochID
 	// DeltaVertices/DeltaEdges describe the current epoch's overlay:
 	// vertices with replacement segments and the net edge count change
 	// versus the base CSR. Both zero right after a compaction.
 	DeltaVertices int   `json:"delta_vertices"`
 	DeltaEdges    int64 `json:"delta_edges"`
+}
+
+// EpochID identifies one published graph epoch in API payloads: its
+// sequence number (0 = the loaded base), its O(batch) delta-log hash, and
+// its canonical content hash where the epoch knows it — at epoch 0 and
+// right after a compaction. No request hashes live content (O(V+E));
+// POST /graphs/{name}/compact is the explicit way to obtain it.
+type EpochID struct {
+	Epoch               uint64 `json:"epoch"`
+	EpochFingerprint    string `json:"epoch_fingerprint,omitempty"`
+	EpochLogFingerprint string `json:"epoch_log_fingerprint"`
+}
+
+func epochID(ep *dyngraph.Epoch) EpochID {
+	id := EpochID{Epoch: ep.Seq(), EpochLogFingerprint: fmt.Sprintf("%016x", ep.LogFingerprint())}
+	if fp, ok := ep.Fingerprint(); ok {
+		id.EpochFingerprint = fmt.Sprintf("%016x", fp)
+	}
+	return id
 }
 
 // GraphRegistry holds the service's named graphs. Each entry is a
@@ -103,16 +118,15 @@ func (e *graphEntry) info() GraphInfo {
 	g := ep.View()
 	dv, de := ep.DeltaStats()
 	return GraphInfo{
-		Name:             e.name,
-		Vertices:         g.NumVertices(),
-		Edges:            g.NumEdges(),
-		Weighted:         g.Weighted(),
-		Typed:            g.Typed(),
-		Fingerprint:      fmt.Sprintf("%016x", e.fp),
-		Epoch:            ep.Seq(),
-		EpochFingerprint: fmt.Sprintf("%016x", ep.Fingerprint()),
-		DeltaVertices:    dv,
-		DeltaEdges:       de,
+		Name:          e.name,
+		Vertices:      g.NumVertices(),
+		Edges:         g.NumEdges(),
+		Weighted:      g.Weighted(),
+		Typed:         g.Typed(),
+		Fingerprint:   fmt.Sprintf("%016x", e.fp),
+		EpochID:       epochID(ep),
+		DeltaVertices: dv,
+		DeltaEdges:    de,
 	}
 }
 

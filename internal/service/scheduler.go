@@ -126,6 +126,7 @@ func (s *scheduler) Submit(spec JobSpec) (*Job, error) {
 		ID:        fmt.Sprintf("job-%06d", s.nextID),
 		Spec:      spec,
 		epoch:     epoch,
+		epochID:   epochID(epoch),
 		cancel:    make(chan struct{}),
 		state:     StateQueued,
 		submitted: time.Now(),
@@ -194,13 +195,20 @@ func (s *scheduler) Cancel(id string) (JobState, error) {
 	case StateQueued:
 		// The worker that eventually dequeues it sees the terminal state
 		// and skips; no engine run ever starts.
-		j.state = StateCancelled
-		j.finished = time.Now()
-		s.metrics.cancelled.Add(1)
+		s.cancelQueued(j)
 	case StateRunning:
 		j.requestCancel()
 	}
 	return j.state, nil
+}
+
+// cancelQueued moves a queued job straight to cancelled and releases its
+// pinned epoch. The caller holds j.mu.
+func (s *scheduler) cancelQueued(j *Job) {
+	j.state = StateCancelled
+	j.finished = time.Now()
+	j.epoch = nil
+	s.metrics.cancelled.Add(1)
 }
 
 // Remove deletes a terminal job's record (result retention management);
@@ -279,9 +287,7 @@ func (s *scheduler) Shutdown() {
 		j.mu.Lock()
 		switch j.state {
 		case StateQueued:
-			j.state = StateCancelled
-			j.finished = time.Now()
-			s.metrics.cancelled.Add(1)
+			s.cancelQueued(j)
 		case StateRunning:
 			j.requestCancel()
 		}
@@ -309,13 +315,13 @@ func (s *scheduler) worker() {
 // a job dequeued after ten ingest batches still walks the exact snapshot
 // it was admitted on.
 func (s *scheduler) runJob(j *Job) {
-	g := j.epoch.View()
-
 	j.mu.Lock()
-	if j.state != StateQueued { // cancelled while waiting
+	if j.state != StateQueued { // cancelled while waiting: cancelQueued released the epoch
 		j.mu.Unlock()
 		return
 	}
+	epoch := j.epoch
+	g := epoch.View()
 	j.state = StateRunning
 	j.started = time.Now()
 	counters := &stats.Counters{}
@@ -350,7 +356,7 @@ func (s *scheduler) runJob(j *Job) {
 		// The epoch's incrementally maintained static sampler tables; the
 		// engine uses them where they apply exactly and builds its own
 		// otherwise.
-		Samplers: j.epoch,
+		Samplers: epoch,
 	}
 	if tc != nil {
 		// One collector plays both roles: superstep spans via the observer
@@ -391,11 +397,13 @@ func (s *scheduler) run(cfg core.Config) (res *core.Result, err error) {
 	return core.Run(cfg)
 }
 
-// finish records a job's terminal state and folds its counters into the
-// service totals.
+// finish records a job's terminal state, folds its counters into the
+// service totals, and releases the job's pinned epoch.
 func (s *scheduler) finish(j *Job, res *core.Result, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	g := j.epoch.View()
+	j.epoch = nil
 	j.finished = time.Now()
 	j.counters = nil
 	switch {
@@ -410,7 +418,6 @@ func (s *scheduler) finish(j *Job, res *core.Result, err error) {
 			Duration:    res.Duration,
 			Setup:       res.SetupDuration,
 		}
-		g := j.epoch.View()
 		info.Vertices = g.NumVertices()
 		info.Edges = g.NumEdges()
 		rep := stats.NewReport(res.Counters, info)

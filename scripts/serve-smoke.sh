@@ -135,6 +135,14 @@ EDGES='{"edges":[{"src":0,"dst":1500},{"src":1,"dst":1501},{"src":2,"dst":1502},
 curl -sf -X POST "$BASE/graphs/pl2000/edges" -d "$EDGES" >"$DIR/ingest.json"
 grep -q '"epoch": 1' "$DIR/ingest.json" \
     || { echo "serve-smoke: ingest did not publish epoch 1" >&2; cat "$DIR/ingest.json" >&2; exit 1; }
+# An ingest epoch is identified by the O(batch) delta-log hash; its
+# content hash would cost a full-graph pass, so it is not reported.
+grep -q '"epoch_log_fingerprint"' "$DIR/ingest.json" \
+    || { echo "serve-smoke: ingest response missing epoch_log_fingerprint" >&2; exit 1; }
+if grep -q '"epoch_fingerprint"' "$DIR/ingest.json"; then
+    echo "serve-smoke: ingest response carries a content fingerprint" >&2
+    exit 1
+fi
 await "$IDB" done
 curl -sf "$BASE/jobs/$IDB/result" >"$DIR/rB.json"
 if [ "$(strip "$DIR/rA.json")" != "$(strip "$DIR/rB.json")" ]; then
@@ -168,6 +176,8 @@ grep -q '"epoch": 2' "$DIR/compact.json" \
     || { echo "serve-smoke: compaction did not publish epoch 2" >&2; cat "$DIR/compact.json" >&2; exit 1; }
 grep -q '"delta_edges": 0' "$DIR/compact.json" \
     || { echo "serve-smoke: compaction left overlay deltas behind" >&2; exit 1; }
+grep -q '"epoch_fingerprint"' "$DIR/compact.json" \
+    || { echo "serve-smoke: compaction did not report the content fingerprint" >&2; exit 1; }
 
 curl -sf "$BASE/metrics" >"$DIR/metrics2.txt"
 grep -q '^kk_serve_ingest_batches_total 1' "$DIR/metrics2.txt" \
