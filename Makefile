@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint test race bench bench-record bench-trend fuzz smoke experiments examples clean
+.PHONY: all build vet lint test race bench bench-trend fuzz smoke experiments examples clean
 
 all: build vet lint test
 
@@ -24,24 +24,13 @@ lint:
 
 test:
 	go test ./...
+	cd benchmarks && go test ./...
 
 race:
 	go test -race ./...
 
 bench:
 	go test -bench=. -benchmem ./...
-
-# The benchmark set tracked in BENCH_<pr>.json across PRs: the transport
-# exchange hot path, the in-process engine controls, the dynamic-graph
-# ingest/compaction path (ns/edge across |V| — the O(affected-vertex)
-# check), and the telemetry run report (edges/step, trials/step,
-# pre-accept ratio, straggler skew).
-bench-record:
-	go test -run=NONE -bench 'BenchmarkTCPExchangeManySmall|BenchmarkTCPExchange2x64KB|BenchmarkInProcExchange4x64KB' -benchmem -count=3 ./internal/transport/
-	go test -run=NONE -bench 'BenchmarkEngineDeepWalk4Nodes|BenchmarkEngineNode2Vec4Nodes' -benchmem ./internal/core/
-	go test -run=NONE -bench 'BenchmarkIngest|BenchmarkSamplerUpdate|BenchmarkCompact' -benchmem ./internal/dyngraph/
-	go test -run=NONE -bench 'DeepWalk4Nodes|BenchmarkRingPut|BenchmarkExchangePeers|BenchmarkWritePerfetto' -benchmem ./internal/obs/tracelog/
-	go run ./cmd/kkbench -report
 
 # The benchmark set the CI trend job tracks continuously (engine steps/sec
 # and allocs/op, interleaved and scalar): output feeds

@@ -19,13 +19,12 @@ import (
 
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment id (see -list) or 'all'")
-		scale  = flag.Float64("scale", 1, "graph size multiplier")
-		seed   = flag.Uint64("seed", 0, "seed (0 = default)")
-		nodes  = flag.Int("nodes", 4, "simulated cluster nodes")
-		quick  = flag.Bool("quick", false, "tiny smoke-test workloads")
-		list   = flag.Bool("list", false, "list experiments and exit")
-		report = flag.Bool("report", false, "run the standard telemetry workload and print its stats.Report JSON line (for make bench-record)")
+		exp   = flag.String("exp", "all", "experiment id (see -list) or 'all'")
+		scale = flag.Float64("scale", 1, "graph size multiplier")
+		seed  = flag.Uint64("seed", 0, "seed (0 = default)")
+		nodes = flag.Int("nodes", 4, "simulated cluster nodes")
+		quick = flag.Bool("quick", false, "tiny smoke-test workloads")
+		list  = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 
@@ -42,12 +41,6 @@ func main() {
 		Seed:  *seed,
 		Nodes: *nodes,
 		Quick: *quick,
-	}
-	if *report {
-		if err := bench.Report(o); err != nil {
-			fatalf("%v", err)
-		}
-		return
 	}
 	if *exp == "all" {
 		if err := bench.RunAll(o); err != nil {

@@ -47,7 +47,6 @@ import (
 	"knightking/internal/graph"
 	"knightking/internal/obs"
 	"knightking/internal/obs/tracelog"
-	"knightking/internal/sampling"
 	"knightking/internal/stats"
 	"knightking/internal/transport"
 )
@@ -69,9 +68,6 @@ func main() {
 		workers    = flag.Int("workers", 4, "worker goroutines per node")
 		stepping   = flag.String("stepping", core.SteppingInterleaved, "stepping strategy: interleaved|scalar (bit-identical output)")
 		batch      = flag.Int("batch", 0, "interleaved stepping batch size (0 = default)")
-		adapt      = flag.Bool("adapt", false, "enable runtime sampler adaptation (mutually exclusive with checkpointing)")
-		adaptEvery = flag.Int("adapt-every", 0, "supersteps between adaptation decision barriers (0 = default)")
-		adaptMin   = flag.Uint("adapt-min-steps", 0, "minimum observed steps at a vertex before its sampler may switch (0 = default)")
 		walkers    = flag.Int("walkers", 0, "walker count (0 = |V|)")
 		seed       = flag.Uint64("seed", 1, "run seed")
 		dump       = flag.String("dump", "", "dump walk sequences to this file (- = stdout)")
@@ -212,17 +208,6 @@ func main() {
 		NetTimeout:      *netTimeout,
 		Stepping:        *stepping,
 		BatchSize:       *batch,
-	}
-	if *adapt {
-		if *ckptDir != "" {
-			fatalf("-adapt is mutually exclusive with -checkpoint-dir (snapshots do not capture sampler mode state)")
-		}
-		cfg.Adapt = &core.AdaptConfig{
-			Every:  *adaptEvery,
-			Policy: sampling.AdaptivePolicy{MinSteps: uint32(*adaptMin)},
-		}
-	} else if *adaptEvery != 0 || *adaptMin != 0 {
-		fatalf("-adapt-every/-adapt-min-steps require -adapt")
 	}
 
 	ranks := *nodes

@@ -122,6 +122,13 @@ func (s *JobSpec) Validate() error {
 	if s.CheckpointDir != "" && s.CheckpointEvery < 0 {
 		return fmt.Errorf("coord: negative checkpoint interval %d", s.CheckpointEvery)
 	}
+	// Every rank's core.Run would reject it too, but only after the job is
+	// seated — and each rank failure then triggers a failover attempt.
+	switch s.Stepping {
+	case "", core.SteppingInterleaved, core.SteppingScalar:
+	default:
+		return fmt.Errorf("coord: unknown stepping %q (want %s or %s)", s.Stepping, core.SteppingInterleaved, core.SteppingScalar)
+	}
 	return nil
 }
 

@@ -1,0 +1,40 @@
+package coord
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestJobSpecValidate: every spec the coordinator would seat only to watch
+// each rank fail must be refused up front, naming what is wrong.
+func TestJobSpecValidate(t *testing.T) {
+	valid := JobSpec{GraphPath: "g.txt", Alg: "node2vec", Stepping: "scalar", CheckpointDir: "ck", CheckpointEvery: 4}
+	for _, tc := range []struct {
+		name    string
+		edit    func(*JobSpec)
+		wantErr string // "" = valid
+	}{
+		{"valid", func(*JobSpec) {}, ""},
+		{"default stepping", func(s *JobSpec) { s.Stepping = "" }, ""},
+		{"empty graph path", func(s *JobSpec) { s.GraphPath = "" }, "no graph path"},
+		{"unknown algorithm", func(s *JobSpec) { s.Alg = "pagerank" }, `"pagerank"`},
+		{"metapath without schemes", func(s *JobSpec) { s.Alg, s.Schemes = "metapath", " ; " }, "no metapath schemes"},
+		{"metapath bad element", func(s *JobSpec) { s.Alg, s.Schemes = "metapath", "0,x" }, `"x"`},
+		{"negative checkpoint interval", func(s *JobSpec) { s.CheckpointEvery = -1 }, "negative checkpoint interval -1"},
+		{"unknown stepping", func(s *JobSpec) { s.Stepping = "interleaveed" }, `"interleaveed"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := valid
+			tc.edit(&s)
+			err := s.Validate()
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("Validate = %v, want nil", err)
+			case tc.wantErr != "" && err == nil:
+				t.Fatalf("Validate accepted the spec, want an error naming %s", tc.wantErr)
+			case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+				t.Fatalf("Validate = %v, want it to mention %s", err, tc.wantErr)
+			}
+		})
+	}
+}

@@ -113,13 +113,6 @@ type Config struct {
 	// BatchSize is the interleaved pipeline's walker batch size (default
 	// DefaultBatchSize). Ignored under scalar stepping.
 	BatchSize int
-	// Adapt enables runtime sampler adaptation: the engine measures
-	// per-vertex rejection trial counts and switches hot vertices between
-	// sampling structures at superstep barriers (see AdaptConfig). Mutually
-	// exclusive with Checkpoint/Restore: snapshots do not capture adapted
-	// per-vertex modes, and the resume bit-identity contract is pinned
-	// without them.
-	Adapt *AdaptConfig
 	// LightThreshold enables straggler-aware light mode below this active
 	// count; 0 selects DefaultLightThreshold, negative disables.
 	LightThreshold int
@@ -468,12 +461,6 @@ func (cfg *Config) normalize() error {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	if cfg.Adapt != nil {
-		if cfg.Checkpoint != nil || cfg.Restore != nil {
-			return fmt.Errorf("core: Adapt is mutually exclusive with Checkpoint/Restore")
-		}
-		cfg.Adapt.normalize()
-	}
 	if cfg.StartVertex != nil && cfg.StartWeights != nil {
 		return fmt.Errorf("core: StartVertex and StartWeights are mutually exclusive")
 	}
@@ -532,9 +519,8 @@ type node struct {
 
 	// Per owned vertex (index v-lo): static sampler and rejection
 	// dartboard (dynamic algorithms only). nil for degree-0 vertices.
-	// The dartboards point into the boards slab (one allocation per node
-	// instead of one per vertex); adaptation rebuilds swap in individually
-	// allocated replacements, which is fine — the pointers are the API.
+	// Both are built once at setup; the dartboards point into the boards
+	// slab (one allocation per node instead of one per vertex).
 	samplers   []sampling.StaticSampler
 	rejections []*sampling.Rejection
 	boards     []sampling.Rejection
@@ -561,9 +547,6 @@ type node struct {
 	queryBuf  []transport.Message
 	spansBuf  []querySpan //kk:phase query
 	errsBuf   []error     //kk:phase query
-
-	// adapt holds runtime sampler-adaptation state (nil when disabled).
-	adapt *adaptState
 
 	// localMig is non-nil when the endpoint shares this process's address
 	// space (transport.LocalSender): migrations then transfer walker
@@ -626,7 +609,6 @@ func newNode(rank int, cfg *Config, part *cluster.Partition, ep transport.Endpoi
 	n.batchSize = cfg.BatchSize
 	n.localMig, _ = ep.(transport.LocalSender)
 	n.buildSamplers()
-	n.initAdapt()
 	n.wstates = make([]*workerState, cfg.Workers)
 	for i := range n.wstates {
 		n.wstates[i] = newWorkerState(ep.Size())
@@ -706,34 +688,18 @@ func (n *node) buildSamplers() {
 		}
 		n.samplers[i] = s
 		if n.alg.dynamic() {
-			q, l, apps := n.rejectionGeometry(v)
+			q, l := n.alg.UpperBound(n.g, v), 0.0
+			if n.alg.LowerBound != nil {
+				l = n.alg.LowerBound(n.g, v)
+			}
+			var apps []sampling.Appendix
+			if n.alg.Outliers != nil {
+				apps = n.alg.Outliers(n.g, v)
+			}
 			n.boards[i].Reset(s, q, l, apps)
 			n.rejections[i] = &n.boards[i]
 		}
 	}
-}
-
-// rejectionGeometry evaluates vertex v's envelope bounds and outlier
-// appendices — the pure (graph, vertex) inputs every dartboard build uses.
-func (n *node) rejectionGeometry(v graph.VertexID) (q, l float64, apps []sampling.Appendix) {
-	q = n.alg.UpperBound(n.g, v)
-	if n.alg.LowerBound != nil {
-		l = n.alg.LowerBound(n.g, v)
-	}
-	if n.alg.Outliers != nil {
-		apps = n.alg.Outliers(n.g, v)
-	}
-	return q, l, apps
-}
-
-// buildRejection constructs vertex v's rejection dartboard over static
-// structure s. Factored out of buildSamplers so runtime adaptation can
-// rebuild a dartboard when a vertex's proposal structure switches: the
-// envelope geometry is a pure function of (graph, vertex), so a rebuilt
-// board differs only in its proposal structure.
-func (n *node) buildRejection(v graph.VertexID, s sampling.StaticSampler) *sampling.Rejection {
-	q, l, apps := n.rejectionGeometry(v)
-	return sampling.NewRejection(s, q, l, apps)
 }
 
 // seedWalkers creates the walkers whose start vertex this node owns.
@@ -1022,16 +988,6 @@ func (n *node) run() (iterations, lightIters int, err error) {
 			return iterations, lightIters, fmt.Errorf("%w at superstep %d", ErrCancelled, iterations)
 		}
 
-		// Sampler adaptation at the barrier: workers are quiesced, the trial
-		// cells hold scheduling-independent sums, and every rank has reached
-		// the same superstep — so switch decisions are deterministic and the
-		// per-vertex sampler arrays can be rewritten without locks.
-		if n.adapt != nil && iterations%n.adapt.every == 0 {
-			adaptStart := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
-			n.adaptDecide(iterations)
-			computeNanos += time.Since(adaptStart).Nanoseconds() //kk:nondet-ok telemetry-only timing; never feeds walk state
-		}
-
 		// Checkpoint at the barrier: every migration sent up to this
 		// superstep has been delivered and folded into some rank's walker
 		// list, no responses are outstanding, and the only in-flight
@@ -1220,7 +1176,6 @@ func (n *node) stepScalar(ws []*Walker, base, end int, keep []bool, st *workerSt
 		}
 		var smp sampling.StaticSampler
 		var rj *sampling.Rejection
-		mode := sampling.ModeAuto
 		deg := n.g.Degree(w.Cur)
 		if deg > 0 {
 			vi := w.Cur - n.lo
@@ -1228,11 +1183,8 @@ func (n *node) stepScalar(ws []*Walker, base, end int, keep []bool, st *workerSt
 			if n.rejections != nil {
 				rj = n.rejections[vi]
 			}
-			if n.adapt != nil {
-				mode = n.adapt.modes[vi]
-			}
 		}
-		act, edge := n.decideStep(w, deg, smp, rj, mode, st)
+		act, edge := n.decideStep(w, deg, smp, rj, st)
 		keep[i] = n.applyAction(w, act, edge, st)
 	}
 }
@@ -1253,7 +1205,7 @@ const (
 // ordering is free — each walker draws only from its private stream — which
 // is exactly why scalar and interleaved stepping are bit-identical. The
 // chosen outcome is applied by applyAction, which draws nothing.
-func (n *node) decideStep(w *Walker, deg int, smp sampling.StaticSampler, rj *sampling.Rejection, mode sampling.Mode, st *workerState) (action, int) {
+func (n *node) decideStep(w *Walker, deg int, smp sampling.StaticSampler, rj *sampling.Rejection, st *workerState) (action, int) {
 	bc := &st.counters
 	if !w.sampling {
 		// Step-boundary termination checks (the Pe component).
@@ -1279,17 +1231,7 @@ func (n *node) decideStep(w *Walker, deg int, smp sampling.StaticSampler, rj *sa
 		// sampling").
 		bc.trials++
 		idx := smp.Sample(&w.R)
-		n.observeStep(w, 1, 1)
-		return actMove, idx
-	}
-
-	if mode == sampling.ModeExact {
-		// Adapted vertex: its measured rejection pressure exceeded the exact
-		// scan's cost, so skip dart throwing entirely.
-		idx, ok := n.fullScanChoose(w, deg, smp, st, 1, 1)
-		if !ok {
-			return actFinish, 0
-		}
+		n.observeStep(w, 1)
 		return actMove, idx
 	}
 
@@ -1297,7 +1239,7 @@ func (n *node) decideStep(w *Walker, deg int, smp sampling.StaticSampler, rj *sa
 	for trials := 0; ; trials++ {
 		if trials >= fallbackAt {
 			if !n.alg.higherOrder() {
-				idx, ok := n.fullScanChoose(w, deg, smp, st, int64(fallbackAt)+1, uint32(fallbackAt)+1)
+				idx, ok := n.fullScanChoose(w, deg, smp, st, int64(fallbackAt)+1)
 				if !ok {
 					return actFinish, 0
 				}
@@ -1325,14 +1267,14 @@ func (n *node) decideStep(w *Walker, deg int, smp sampling.StaticSampler, rj *sa
 			bc.edgeProbEvals++
 			prob := rj.AppendixAcceptProb(p, smp.WeightAt(idx), pd)
 			if w.R.Bernoulli(prob) {
-				n.observeStep(w, int64(trials)+1, uint32(trials)+1)
+				n.observeStep(w, int64(trials)+1)
 				return actMove, idx
 			}
 			continue
 		}
 		if p.PreAccepted {
 			bc.preAccepts++
-			n.observeStep(w, int64(trials)+1, uint32(trials)+1)
+			n.observeStep(w, int64(trials)+1)
 			return actMove, p.EdgeIdx
 		}
 		e := n.g.EdgeAt(w.Cur, p.EdgeIdx)
@@ -1349,7 +1291,7 @@ func (n *node) decideStep(w *Walker, deg int, smp sampling.StaticSampler, rj *sa
 		pd := n.alg.EdgeDynamicComp(w, e, 0, false)
 		bc.edgeProbEvals++
 		if rj.AcceptMain(p, pd) {
-			n.observeStep(w, int64(trials)+1, uint32(trials)+1)
+			n.observeStep(w, int64(trials)+1)
 			return actMove, p.EdgeIdx
 		}
 	}
@@ -1395,31 +1337,27 @@ func (n *node) applyAction(w *Walker, act action, edgeIdx int, st *workerState) 
 	panic(fmt.Sprintf("core: unknown step action %d", act)) //kk:alloc-ok panic path: an unknown step action is an engine bug, never steady state
 }
 
-// observeStep reports an accepted step's trial burst to telemetry, the
-// adaptation cells, and (for sampled walkers) the causal trace; none
-// consumes walker RNG. The trace event fires at acceptance, while the
-// walker still resides at the deciding vertex, so every stepping strategy
-// and the phase-C resolution path emit through this one site.
-func (n *node) observeStep(w *Walker, obsTrials int64, cellTrials uint32) {
+// observeStep reports an accepted step's trial burst to telemetry and (for
+// sampled walkers) the causal trace; neither consumes walker RNG. The trace
+// event fires at acceptance, while the walker still resides at the deciding
+// vertex, so every stepping strategy and the phase-C resolution path emit
+// through this one site.
+func (n *node) observeStep(w *Walker, trials int64) {
 	if n.obs != nil {
-		n.obs.ObserveStepTrials(obsTrials)
-	}
-	if n.adapt != nil {
-		n.adapt.record(w.Cur-n.lo, cellTrials)
+		n.obs.ObserveStepTrials(trials)
 	}
 	if n.tracer != nil {
-		n.traceWalkerEvent(w, WalkerStep, w.Cur, int32(obsTrials), -1)
+		n.traceWalkerEvent(w, WalkerStep, w.Cur, int32(trials), -1)
 	}
 }
 
 // fullScanChoose is the exact O(deg) step used after FallbackTrials
-// consecutive rejections (or at a vertex adapted to ModeExact): evaluate
-// Pd for every edge and sample the product distribution directly, using
-// the worker's scratch buffers so the steady state allocates nothing.
-// ok=false means no edge has positive probability (the paper's "no out
-// edges ... are eligible"). obsTrials/cellTrials are the dart count
-// attributed to the completed step.
-func (n *node) fullScanChoose(w *Walker, deg int, smp sampling.StaticSampler, st *workerState, obsTrials int64, cellTrials uint32) (int, bool) {
+// consecutive rejections: evaluate Pd for every edge and sample the
+// product distribution directly, using the worker's scratch buffers so the
+// steady state allocates nothing. ok=false means no edge has positive
+// probability (the paper's "no out edges ... are eligible"). trials is the
+// dart count attributed to the completed step.
+func (n *node) fullScanChoose(w *Walker, deg int, smp sampling.StaticSampler, st *workerState, trials int64) (int, bool) {
 	bc := &st.counters
 	if cap(st.scanWeights) < deg {
 		st.scanWeights = make([]float64, deg) //kk:alloc-ok amortized: scan scratch grows to the max degree seen, then is reused
@@ -1440,7 +1378,7 @@ func (n *node) fullScanChoose(w *Walker, deg int, smp sampling.StaticSampler, st
 		panic(fmt.Sprintf("core: full-scan fallback at vertex %d: %v", w.Cur, err)) //kk:alloc-ok panic path: invalid full-scan weights abort the run, never steady state
 	}
 	bc.trials++
-	n.observeStep(w, obsTrials, cellTrials)
+	n.observeStep(w, trials)
 	return st.scanITS.Sample(&w.R), true
 }
 
@@ -1634,8 +1572,7 @@ func (n *node) answerQueryRange(spans []querySpan, base, end int, out *outBufs) 
 
 // applyResponses resolves parked walkers' pending darts; walkers it migrates
 // stay in n.walkers until run filters them out. A resolution compares the
-// stored Y against Pd only (AcceptMain consumes no RNG), so it is unaffected
-// by a sampler-structure switch at an intervening adaptation barrier.
+// stored Y against Pd only (AcceptMain consumes no RNG).
 //
 //kk:hotpath
 func (n *node) applyResponses(payload []byte, st *workerState) error {
@@ -1669,7 +1606,7 @@ func (n *node) applyResponses(payload []byte, st *workerState) error {
 			// next superstep — the paper's "less fortunate ones stuck at their
 			// current vertex for the next iteration".
 			if n.rejectionOf(w.Cur).AcceptMain(sampling.Proposal{EdgeIdx: int(w.pendingEdge), Appendix: -1, Y: w.pendingY}, pd) {
-				n.observeStep(w, 1, 1)
+				n.observeStep(w, 1)
 				n.applyAction(w, actMove, int(w.pendingEdge), st)
 			}
 		}

@@ -8,12 +8,10 @@ package core
 
 import (
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"knightking/internal/gen"
 	"knightking/internal/graph"
-	"knightking/internal/sampling"
 )
 
 // runStepping runs cfg with the given stepping strategy and batch size.
@@ -137,94 +135,3 @@ func itoa(n int) string {
 	}
 	return string(b[i:])
 }
-
-// TestInterleavedMatchesScalarUnderAdaptation: runtime sampler switches
-// happen at barriers and rebuild structures deterministically, so the
-// bit-identity contract must hold for adapted runs too — and the adapted
-// run must actually switch something, or the test is vacuous.
-func TestInterleavedMatchesScalarUnderAdaptation(t *testing.T) {
-	var switches atomic.Int64
-	mkCfg := func() Config {
-		// Weighted + biased so the static structure is an alias table with
-		// something to switch (uniform static walks have no switch class).
-		a := node2vecAlg(2, 0.5, 12)
-		a.Biased = true
-		return Config{
-			Graph:       gen.WithUniformWeights(gen.UniformDegree(70, 6, 229), 1, 5, 230),
-			Algorithm:   a,
-			NumNodes:    3,
-			Seed:        233,
-			RecordPaths: true,
-			CountVisits: true,
-			Adapt: &AdaptConfig{
-				Every: 2,
-				// Degree 6 is within the default ITSMaxDegree, so the alias
-				// tables built at setup all switch to ITS at the first
-				// decision barrier.
-				Policy: sampling.AdaptivePolicy{MinSteps: 1},
-				OnSwitch: func(rank, iteration int, v graph.VertexID, from, to sampling.Mode) {
-					switches.Add(1)
-				},
-			},
-		}
-	}
-	scalar := runStepping(t, mkCfg(), SteppingScalar, 0)
-	scalarSwitches := switches.Load()
-	if scalarSwitches == 0 {
-		t.Fatal("adaptation made no switches; the test is vacuous")
-	}
-	for _, batch := range []int{1, 3, 256} {
-		switches.Store(0)
-		got := runStepping(t, mkCfg(), SteppingInterleaved, batch)
-		assertSameRun(t, scalar, got, "adapted/batch="+itoa(batch))
-		if s := switches.Load(); s != scalarSwitches {
-			t.Errorf("batch=%d: %d switches, scalar made %d", batch, s, scalarSwitches)
-		}
-	}
-}
-
-// TestAdaptedRunDivergesFromUnadapted pins that adaptation is not a no-op:
-// a switched structure consumes walker streams differently, so the adapted
-// run must differ from the unadapted one (while each remains internally
-// deterministic — checked by the equivalence tests above).
-func TestAdaptedRunDivergesFromUnadapted(t *testing.T) {
-	a := node2vecAlg(2, 0.5, 12)
-	a.Biased = true
-	base := Config{
-		Graph:       gen.WithUniformWeights(gen.UniformDegree(70, 6, 229), 1, 5, 230),
-		Algorithm:   a,
-		NumNodes:    3,
-		Seed:        233,
-		RecordPaths: true,
-	}
-	plain := runStepping(t, base, SteppingInterleaved, 0)
-	adapted := base
-	adapted.Adapt = &AdaptConfig{Every: 2, Policy: sampling.AdaptivePolicy{MinSteps: 1}}
-	got := runStepping(t, adapted, SteppingInterleaved, 0)
-	if reflect.DeepEqual(plain.Paths, got.Paths) {
-		t.Fatal("adapted run identical to unadapted; sampler switches had no effect")
-	}
-}
-
-// TestAdaptRejectsCheckpointCombination: adaptation and checkpoint/restore
-// are mutually exclusive (snapshots do not capture mode state).
-func TestAdaptRejectsCheckpointCombination(t *testing.T) {
-	cfg := Config{
-		Graph:      gen.Ring(8, 0),
-		Algorithm:  staticAlg(3),
-		Adapt:      &AdaptConfig{},
-		Checkpoint: nopCheckpointer{},
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("Adapt+Checkpoint accepted")
-	}
-}
-
-// nopCheckpointer satisfies CheckpointSink for validation tests only.
-type nopCheckpointer struct{}
-
-func (nopCheckpointer) Interval() int { return 4 }
-func (nopCheckpointer) WriteSegment(iteration, rank int, blob []byte) (SegmentInfo, error) {
-	return SegmentInfo{}, nil
-}
-func (nopCheckpointer) Commit(iteration int, segments []SegmentInfo) error { return nil }

@@ -176,7 +176,6 @@ type batchState struct {
 	deg  []int32
 	smp  []sampling.StaticSampler
 	rej  []*sampling.Rejection
-	mode []sampling.Mode
 	act  []action
 	edge []int32
 }
@@ -190,7 +189,6 @@ func (b *batchState) grow(k int) {
 	b.deg = make([]int32, k)                  //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
 	b.smp = make([]sampling.StaticSampler, k) //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
 	b.rej = make([]*sampling.Rejection, k)    //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
-	b.mode = make([]sampling.Mode, k)         //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
 	b.act = make([]action, k)                 //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
 	b.edge = make([]int32, k)
 }
@@ -211,7 +209,6 @@ func (n *node) stepBatch(ws []*Walker, base, end int, keep []bool, st *workerSta
 
 	// Gather: collect each ready walker's degree, sampler, and dartboard.
 	dynamic := n.rejections != nil
-	adapt := n.adapt
 	m := 0
 	for i := base; i < end; i++ {
 		w := ws[i]
@@ -231,13 +228,8 @@ func (n *node) stepBatch(ws []*Walker, base, end int, keep []bool, st *workerSta
 			} else {
 				b.rej[m] = nil
 			}
-			if adapt != nil {
-				b.mode[m] = adapt.modes[vi]
-			} else {
-				b.mode[m] = sampling.ModeAuto
-			}
 		} else {
-			b.smp[m], b.rej[m], b.mode[m] = nil, nil, sampling.ModeAuto
+			b.smp[m], b.rej[m] = nil, nil
 		}
 		m++
 	}
@@ -250,7 +242,7 @@ func (n *node) stepBatch(ws []*Walker, base, end int, keep []bool, st *workerSta
 	// Move: run the decisions, consuming each walker's private stream in
 	// the same order the scalar loop would.
 	for j := 0; j < m; j++ {
-		act, edge := n.decideStep(b.w[j], int(b.deg[j]), b.smp[j], b.rej[j], b.mode[j], st)
+		act, edge := n.decideStep(b.w[j], int(b.deg[j]), b.smp[j], b.rej[j], st)
 		b.act[j] = act
 		b.edge[j] = int32(edge)
 	}

@@ -212,8 +212,7 @@ func TestNode2vecSecondOrderChiSquare(t *testing.T) {
 	// cell is below 5 are skipped (standard chi-square applicability bound).
 	invP, invQ := 1/p, 1/q
 	var chi2 float64
-	df := 0
-	contexts, skipped := 0, 0
+	df, contexts := 0, 0
 	for ctx, counts := range observed {
 		n := 0
 		for _, c := range counts {
@@ -242,7 +241,6 @@ func TestNode2vecSecondOrderChiSquare(t *testing.T) {
 			}
 		}
 		if minExp < 5 {
-			skipped++
 			continue
 		}
 		for x, w := range probs {
@@ -253,19 +251,120 @@ func TestNode2vecSecondOrderChiSquare(t *testing.T) {
 		df += len(probs) - 1
 		contexts++
 	}
-	if contexts < 100 {
-		t.Fatalf("only %d contexts had enough mass for the test (%d skipped); increase walkers", contexts, skipped)
+	assertChiSquare(t, chi2, df, contexts, 100)
+}
+
+// chiSquareNext pools a chi-square statistic over per-vertex next-step
+// conditionals: for every path transition cur→next, the expected
+// distribution is weight(cur, i) over cur's out-edges, pooled by
+// destination vertex. Contexts whose smallest expected cell is below 5 are
+// skipped (standard applicability bound). Returns chi2, degrees of
+// freedom, and the number of contexts tested.
+func chiSquareNext(t *testing.T, g *graph.Graph, paths [][]graph.VertexID,
+	weight func(cur graph.VertexID, i int) float64) (float64, int, int) {
+	t.Helper()
+	observed := make(map[graph.VertexID]map[graph.VertexID]int)
+	for _, path := range paths {
+		for i := 0; i+1 < len(path); i++ {
+			m := observed[path[i]]
+			if m == nil {
+				m = make(map[graph.VertexID]int)
+				observed[path[i]] = m
+			}
+			m[path[i+1]]++
+		}
 	}
-	// For large df, chi-square is ~N(df, 2df); 6 sigma keeps the false
-	// positive rate negligible while catching any systematic bias.
-	limit := float64(df) + 6*math.Sqrt(2*float64(df))
-	t.Logf("chi2 = %.1f over df = %d (%d contexts, %d skipped), limit %.1f", chi2, df, contexts, skipped, limit)
-	if chi2 > limit {
-		t.Fatalf("chi2 = %.1f exceeds %.1f at df = %d: observed transitions deviate from the exact second-order distribution", chi2, limit, df)
+	var chi2 float64
+	df, contexts := 0, 0
+	for cur, counts := range observed {
+		n := 0
+		for _, c := range counts {
+			n += c
+		}
+		probs := make(map[graph.VertexID]float64)
+		total := 0.0
+		for i, x := range g.Neighbors(cur) {
+			w := weight(cur, i)
+			probs[x] += w
+			total += w
+		}
+		minExp := math.Inf(1)
+		for _, w := range probs {
+			if e := float64(n) * w / total; e < minExp {
+				minExp = e
+			}
+		}
+		if minExp < 5 {
+			continue
+		}
+		for x, w := range probs {
+			e := float64(n) * w / total
+			d := float64(counts[x]) - e
+			chi2 += d * d / e
+		}
+		df += len(probs) - 1
+		contexts++
 	}
-	// A far-too-small statistic would mean the test is vacuous (e.g. the
-	// observed counts were derived from the expectation itself).
-	if chi2 < float64(df)-6*math.Sqrt(2*float64(df)) {
+	return chi2, df, contexts
+}
+
+// assertChiSquare applies a ±6σ band: for large df, chi-square is
+// ~N(df, 2df); the upper bound catches bias, the lower bound catches a
+// vacuous test (e.g. counts derived from the expectation itself).
+func assertChiSquare(t *testing.T, chi2 float64, df, contexts, minContexts int) {
+	t.Helper()
+	if contexts < minContexts {
+		t.Fatalf("only %d contexts had enough mass (want >= %d); increase walkers", contexts, minContexts)
+	}
+	band := 6 * math.Sqrt(2*float64(df))
+	t.Logf("chi2 = %.1f over df = %d (%d contexts), band ±%.1f", chi2, df, contexts, band)
+	if chi2 > float64(df)+band {
+		t.Fatalf("chi2 = %.1f exceeds %.1f at df = %d: sampled transitions deviate from the exact distribution", chi2, float64(df)+band, df)
+	}
+	if chi2 < float64(df)-band {
 		t.Fatalf("chi2 = %.1f implausibly small for df = %d", chi2, df)
 	}
+}
+
+// TestFullScanFallbackChiSquare pins the distribution of the exact
+// full-scan fallback. With FallbackTrials = 1 every step whose first dart
+// is rejected (~37 % under this Pd) resolves through fullScanChoose, so
+// the pooled transition counts must pass chi-square against Pd(e)/ΣPd.
+func TestFullScanFallbackChiSquare(t *testing.T) {
+	pd := func(dst graph.VertexID) float64 {
+		return []float64{1, 0.75, 0.5, 0.25}[dst%4]
+	}
+	a := &Algorithm{
+		Name:           "full-scan-fallback",
+		MaxSteps:       40,
+		FallbackTrials: 1,
+		EdgeDynamicComp: func(w *Walker, e graph.Edge, _ uint64, _ bool) float64 {
+			return pd(e.Dst)
+		},
+		UpperBound: func(*graph.Graph, graph.VertexID) float64 { return 1 },
+	}
+	g := gen.UniformDegree(60, 6, 241)
+	res, err := Run(Config{
+		Graph:       g,
+		Algorithm:   a,
+		NumWalkers:  1500,
+		NumNodes:    3,
+		Seed:        243,
+		RecordPaths: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One Pd evaluation for the dart plus, on rejection, one per edge of
+	// the scanned vertex: about 1 + 0.375·6 per step (3.0 as run). Without
+	// the scan the ratio would be exactly 1.
+	ratio := float64(res.Counters.EdgeProbEvals) / float64(res.Counters.Steps)
+	t.Logf("EdgeProbEvals/Steps = %.2f", ratio)
+	if ratio < 2 {
+		t.Fatalf("EdgeProbEvals/Steps = %.2f (want about 3); the full scan did not run", ratio)
+	}
+	chi2, df, contexts := chiSquareNext(t, g, res.Paths, func(cur graph.VertexID, i int) float64 {
+		return pd(g.Neighbors(cur)[i])
+	})
+	assertChiSquare(t, chi2, df, contexts, 50)
 }

@@ -193,7 +193,7 @@ func fieldPhaseTag(fld *ast.Field) (args string, found bool) {
 }
 
 // fieldChain returns the field objects traversed by an lvalue chain:
-// fieldChain(`e.adapt.modes[i]`) = [modes, adapt]. Writing an element or
+// fieldChain(`n.loop.scanWeights[i]`) = [scanWeights, loop]. Writing an element or
 // member through a tagged field is a write to that field's phase domain.
 func fieldChain(info *types.Info, e ast.Expr) []types.Object {
 	var out []types.Object

@@ -320,3 +320,20 @@ func TestRejectionRejectsNonFiniteGeometry(t *testing.T) {
 		}()
 	}
 }
+
+// TestRejectionReset pins the in-place dartboard initializer against
+// NewRejection: identical proposals from identical streams.
+func TestRejectionReset(t *testing.T) {
+	static := NewUniform(6)
+	apps := []Appendix{{WidthUB: 1, HeightUB: 0.5, Tag: 1}}
+	var slab Rejection
+	slab.Reset(static, 2.0, 0.5, apps)
+	fresh := NewRejection(static, 2.0, 0.5, apps)
+	a, b := rng.NewStream(5, 6), rng.NewStream(5, 6)
+	for i := 0; i < 1000; i++ {
+		pa, pb := slab.Propose(a), fresh.Propose(b)
+		if pa != pb {
+			t.Fatalf("draw %d: slab %+v, fresh %+v", i, pa, pb)
+		}
+	}
+}

@@ -252,3 +252,61 @@ func TestInvalidWeightValuesRejected(t *testing.T) {
 		t.Fatal("ITSFromFloat64 accepted NaN")
 	}
 }
+
+// TestSharedUniform: the cache must hand out one instance per n, sampling
+// exactly like NewUniform (same stream consumption, same values).
+func TestSharedUniform(t *testing.T) {
+	if SharedUniform(5) != SharedUniform(5) {
+		t.Fatal("SharedUniform(5) returned distinct instances")
+	}
+	if SharedUniform(5) == SharedUniform(6) {
+		t.Fatal("distinct n shared an instance")
+	}
+	a, b := rng.NewStream(1, 2), rng.NewStream(1, 2)
+	shared, fresh := SharedUniform(7), NewUniform(7)
+	for i := 0; i < 1000; i++ {
+		if x, y := shared.Sample(a), fresh.Sample(b); x != y {
+			t.Fatalf("draw %d: shared %d, fresh %d", i, x, y)
+		}
+	}
+	if shared.N() != 7 || shared.Total() != 7 || shared.WeightAt(3) != 1 {
+		t.Fatal("shared uniform accessors wrong")
+	}
+}
+
+// TestITSResetFloat64 pins the in-place rebuild against fresh construction:
+// identical sampling sequence, reused backing.
+func TestITSResetFloat64(t *testing.T) {
+	var s ITS
+	if err := s.ResetFloat64([]float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	// Rebuild with different weights in place.
+	weights := []float64{4, 1, 0.5, 2}
+	if err := s.ResetFloat64(weights); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewITSFromFloat64(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := rng.NewStream(3, 4), rng.NewStream(3, 4)
+	for i := 0; i < 2000; i++ {
+		if x, y := s.Sample(a), fresh.Sample(b); x != y {
+			t.Fatalf("draw %d: reset %d, fresh %d", i, x, y)
+		}
+	}
+	if s.N() != 4 || s.Total() != fresh.Total() {
+		t.Fatalf("reset ITS accessors: N=%d Total=%v", s.N(), s.Total())
+	}
+	// Zero-alloc steady state: rebuilding with same-length weights reuses
+	// the cdf backing.
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.ResetFloat64(weights); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ResetFloat64 allocates %.1f per rebuild, want 0", allocs)
+	}
+}

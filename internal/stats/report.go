@@ -10,8 +10,7 @@ import (
 // Report is the end-of-run summary: the paper's machine-independent
 // metrics (edges/step, trial behavior) plus the operational numbers a
 // scripted run wants on one line. kkwalk prints it (human form on stderr,
-// or exactly one JSON line on stdout under -json), and `make bench-record`
-// stores it in BENCH_*.json so perf PRs can diff against it.
+// or exactly one JSON line on stdout under -json).
 //
 // Build it only from a post-join counter snapshot (see the Counters doc);
 // a mid-run snapshot may violate the cross-field invariants the ratios
