@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint test race bench bench-trend fuzz smoke experiments examples clean
+.PHONY: all build vet lint test race bench fuzz smoke experiments examples clean
 
 all: build vet lint test
 
@@ -31,13 +31,6 @@ race:
 
 bench:
 	go test -bench=. -benchmem ./...
-
-# The benchmark set the CI trend job tracks continuously (engine steps/sec
-# and allocs/op, interleaved and scalar): output feeds
-# benchmark-action/github-action-benchmark, which graphs the history on
-# gh-pages (dev/bench) and fails the build on a >10% ns/op regression.
-bench-trend:
-	go test -run=NONE -bench 'BenchmarkEngineDeepWalk4Nodes|BenchmarkEngineNode2Vec4Nodes' -benchmem -count=3 ./internal/core/ | tee bench-trend.txt
 
 # Short fuzz pass over every fuzz target.
 fuzz:

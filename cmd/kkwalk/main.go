@@ -42,13 +42,11 @@ import (
 
 	"knightking/internal/alg"
 	"knightking/internal/checkpoint"
-	"knightking/internal/cluster"
 	"knightking/internal/core"
 	"knightking/internal/graph"
 	"knightking/internal/obs"
 	"knightking/internal/obs/tracelog"
 	"knightking/internal/stats"
-	"knightking/internal/transport"
 )
 
 func main() {
@@ -72,10 +70,8 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "run seed")
 		dump       = flag.String("dump", "", "dump walk sequences to this file (- = stdout)")
 		visits     = flag.String("visits", "", "dump per-vertex visit counts to this file (- = stdout)")
-		rank       = flag.Int("rank", -1, "static multi-process mode: this process's rank (requires -peers; prefer kkcoord/kkrank)")
-		peers      = flag.String("peers", "", "static multi-process mode: comma-separated listen addresses of all ranks, in rank order (requires -rank; prefer kkcoord/kkrank)")
 		noLight    = flag.Bool("nolight", false, "disable straggler-aware light mode")
-		netTimeout = flag.Duration("net-timeout", 0, "fail any exchange barrier not completing within this duration (0 = wait forever); also sets TCP read/write deadlines in multi-process mode")
+		netTimeout = flag.Duration("net-timeout", 0, "fail any exchange barrier not completing within this duration (0 = wait forever)")
 		ckptDir    = flag.String("checkpoint-dir", "", "snapshot walk state into this directory")
 		ckptEvery  = flag.Int("checkpoint-every", 16, "supersteps between checkpoints")
 		resume     = flag.Bool("resume", false, "resume from the latest complete checkpoint in -checkpoint-dir")
@@ -107,32 +103,11 @@ func main() {
 	}
 
 	// Telemetry is opt-in: any of the reporting flags builds a registry. The
-	// registry implements every engine hook, so wiring it below is the whole
+	// registry is the engine's Observer, so wiring it below is the whole
 	// integration; runs without these flags pay only nil-observer branches.
 	var reg *obs.Registry
 	if *adminAddr != "" || *spansPath != "" || *jsonOut || *tracePath != "" {
 		reg = obs.NewRegistry(nil)
-	}
-
-	// Static multi-process mode needs both halves of the pair: a rank with
-	// no peer list (or vice versa) is a misconfigured launch script, so fail
-	// before touching the graph. The kkcoord/kkrank control plane supersedes
-	// these flags — it hands each worker its rank, peers, and partition, and
-	// survives rank failures; static -rank/-peers remains for fixed
-	// single-shot deployments.
-	if *rank >= 0 && *peers == "" {
-		fatalf("-rank requires -peers (or use kkcoord/kkrank, which assigns ranks automatically)")
-	}
-	if *peers != "" && *rank < 0 {
-		fatalf("-peers requires -rank (or use kkcoord/kkrank, which assigns ranks automatically)")
-	}
-	multiProcess := *peers != ""
-	var peerAddrs []string
-	if multiProcess {
-		peerAddrs = strings.Split(*peers, ",")
-		if *rank >= len(peerAddrs) {
-			fatalf("-rank %d out of range for %d peers", *rank, len(peerAddrs))
-		}
 	}
 
 	f, err := os.Open(*graphPath)
@@ -140,30 +115,9 @@ func main() {
 		fatalf("open graph: %v", err)
 	}
 	var g *graph.Graph
-	var partStarts []graph.VertexID
-	switch {
-	case *binary && multiProcess:
-		// Memory-scaled deployment: read only the offset array to agree on
-		// the partition, then load just this rank's adjacency slice.
-		hdr, herr := graph.ReadBinaryDegrees(f)
-		if herr != nil {
-			fatalf("read degrees: %v", herr)
-		}
-		degrees := make([]int, hdr.NumVertices)
-		for v := range degrees {
-			degrees[v] = hdr.Degree(graph.VertexID(v))
-		}
-		part := cluster.Partition1DFromDegrees(degrees, len(peerAddrs), 1)
-		partStarts = part.Starts()
-		lo, hi := part.Range(*rank)
-		g, err = graph.ReadBinarySlice(f, lo, hi)
-		if err == nil {
-			progressf("rank %d loaded vertex slice [%d,%d): %d local edges\n",
-				*rank, lo, hi, g.NumEdges())
-		}
-	case *binary:
+	if *binary {
 		g, err = graph.ReadBinary(f)
-	default:
+	} else {
 		g, err = graph.ReadEdgeList(f, *undirected, 0)
 	}
 	f.Close()
@@ -195,33 +149,30 @@ func main() {
 		lt = -1
 	}
 	cfg := core.Config{
-		Graph:           g,
-		Algorithm:       program,
-		NumNodes:        *nodes,
-		Workers:         *workers,
-		NumWalkers:      *walkers,
-		Seed:            *seed,
-		RecordPaths:     *dump != "",
-		CountVisits:     *visits != "",
-		LightThreshold:  lt,
-		PartitionStarts: partStarts,
-		NetTimeout:      *netTimeout,
-		Stepping:        *stepping,
-		BatchSize:       *batch,
+		Graph:          g,
+		Algorithm:      program,
+		NumNodes:       *nodes,
+		Workers:        *workers,
+		NumWalkers:     *walkers,
+		Seed:           *seed,
+		RecordPaths:    *dump != "",
+		CountVisits:    *visits != "",
+		LightThreshold: lt,
+		NetTimeout:     *netTimeout,
+		Stepping:       *stepping,
+		BatchSize:      *batch,
 	}
 
 	ranks := *nodes
-	if multiProcess {
-		ranks = len(peerAddrs)
-	}
 	if reg != nil {
 		cfg.Counters = reg.Counters()
 		cfg.Observer = reg
 		reg.SetRunInfo(program.Name, g.NumVertices(), g.NumEdges(), ranks)
 	}
 
-	// The trace collector rides the registry for span/exchange events (the
-	// registry forwards) and hooks the engine directly for walker journeys.
+	// The trace collector rides the registry for superstep spans (the
+	// registry forwards) and is the engine's Tracer for walker journeys and
+	// exchange spans.
 	var tc *tracelog.Collector
 	if *tracePath != "" {
 		tc = tracelog.New(tracelog.Options{
@@ -286,9 +237,6 @@ func main() {
 		if serr != nil {
 			fatalf("%v", serr)
 		}
-		if reg != nil {
-			store.Observe = reg.ObserveCheckpointSegment
-		}
 		cfg.Checkpoint = store
 		if *resume {
 			cp, lerr := checkpoint.Load(*ckptDir)
@@ -304,8 +252,8 @@ func main() {
 	}
 
 	// Cooperative shutdown: the first SIGINT/SIGTERM closes the engine's
-	// cancel channel, so every rank (local or remote) leaves at the same
-	// superstep barrier and committed checkpoints stay valid resume points.
+	// cancel channel, so every rank leaves at the same superstep barrier
+	// and committed checkpoints stay valid resume points.
 	// A second signal force-exits for runs that are past reasoning with.
 	cancelCh := make(chan struct{})
 	sigCh := make(chan os.Signal, 2)
@@ -320,24 +268,7 @@ func main() {
 	}()
 	cfg.Cancel = cancelCh
 
-	var res *core.Result
-	if multiProcess {
-		// Real multi-process deployment: every rank runs this binary with
-		// the same flags plus its own -rank; results here cover only this
-		// rank's share (walkers that terminated locally).
-		ep, derr := transport.DialTCPGroupOpts(*rank, peerAddrs, transport.TCPOptions{
-			ReadTimeout:  *netTimeout,
-			WriteTimeout: *netTimeout,
-		})
-		if derr != nil {
-			fatalf("join cluster: %v", derr)
-		}
-		defer ep.Close()
-		progressf("rank %d of %d joined cluster\n", *rank, len(peerAddrs))
-		res, err = core.RunNode(cfg, ep)
-	} else {
-		res, err = core.Run(cfg)
-	}
+	res, err := core.Run(cfg)
 	if err != nil {
 		if errors.Is(err, core.ErrCancelled) {
 			fatalf("interrupted: %v (no results written; resume with -checkpoint-dir/-resume if checkpointing was on)", err)
@@ -371,7 +302,7 @@ func main() {
 		progressf("trace written to %s (open at https://ui.perfetto.dev)\n", *tracePath)
 	}
 
-	// res.Counters is the post-join snapshot Run/RunNode took after every
+	// res.Counters is the post-join snapshot Run took after every
 	// worker goroutine finished, so every cross-field ratio in the report is
 	// exact (the Counters doc's consistency contract; mid-run snapshots from
 	// the admin server are only per-field consistent).
@@ -447,9 +378,6 @@ func main() {
 		}
 		w := bufio.NewWriter(out)
 		for _, path := range res.Paths {
-			if path == nil {
-				continue // walker terminated on another rank
-			}
 			for i, v := range path {
 				if i > 0 {
 					fmt.Fprint(w, " ")

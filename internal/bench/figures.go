@@ -8,6 +8,7 @@ import (
 	"knightking/internal/core"
 	"knightking/internal/gen"
 	"knightking/internal/graph"
+	"knightking/internal/obs"
 	"knightking/internal/stats"
 )
 
@@ -38,19 +39,26 @@ func Fig5Data(o Options) ([]Fig5Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	var log stats.IterationLog
+	reg := obs.NewRegistry(nil)
 	_, err = core.Run(core.Config{
 		Graph:      g,
 		Algorithm:  alg.PPR(0.0125, false, 0), // the paper's long-walk PPR setting
 		NumWalkers: g.NumVertices(),
 		Seed:       o.Seed,
-		IterLog:    &log,
+		Observer:   reg,
 	})
 	if err != nil {
 		return nil, err
 	}
-	recs := log.Records()
-	n := len(recs)
+	// Rank 0's spans, in superstep order, carry the live count agreed at
+	// each barrier.
+	var active []int64
+	for _, sp := range reg.Spans() {
+		if sp.Rank == 0 {
+			active = append(active, sp.GlobalWalkers)
+		}
+	}
+	n := len(active)
 	if len(bfs.FrontierSizes) > n {
 		n = len(bfs.FrontierSizes)
 	}
@@ -60,8 +68,8 @@ func Fig5Data(o Options) ([]Fig5Row, error) {
 		if i < len(bfs.FrontierSizes) {
 			rows[i].BFSActive = bfs.FrontierSizes[i]
 		}
-		if i < len(recs) {
-			rows[i].WalkActive = recs[i].ActiveWalkers
+		if i < len(active) {
+			rows[i].WalkActive = active[i]
 		}
 	}
 	return rows, nil

@@ -26,7 +26,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"knightking/internal/core"
 )
@@ -81,13 +80,6 @@ type Store struct {
 	// pruned at commit. Must be >= 2 so a crash during (or corruption of)
 	// the newest checkpoint can still fall back to the previous one.
 	Retain int
-
-	// Observe, when non-nil, receives one callback per durably written
-	// segment with the writing rank, the segment size, and the wall time of
-	// the write (including fsync). Set it before the run starts; it is
-	// called concurrently from every rank's WriteSegment and must not
-	// block. internal/obs feeds these into the checkpoint histograms.
-	Observe func(rank int, bytes int64, d time.Duration)
 }
 
 // NewStore creates (if needed) the checkpoint directory and returns a
@@ -120,7 +112,6 @@ func ckptDir(dir string, iteration int) string {
 // the given superstep, fsyncing before rename so a committed manifest never
 // references a segment the filesystem could lose.
 func (s *Store) WriteSegment(iteration, rank int, blob []byte) (core.SegmentInfo, error) {
-	start := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
 	info := core.SegmentInfo{Rank: rank, Size: int64(len(blob)), CRC: crc64.Checksum(blob, crcTable)}
 	staging := stagingDir(s.dir, iteration)
 	if err := os.MkdirAll(staging, 0o755); err != nil {
@@ -129,9 +120,6 @@ func (s *Store) WriteSegment(iteration, rank int, blob []byte) (core.SegmentInfo
 	path := filepath.Join(staging, fmt.Sprintf(segPattern, rank))
 	if err := writeFileSync(path, blob); err != nil {
 		return info, fmt.Errorf("checkpoint: segment rank %d: %w", rank, err)
-	}
-	if s.Observe != nil {
-		s.Observe(rank, int64(len(blob)), time.Since(start)) //kk:nondet-ok telemetry-only timing; never feeds walk state
 	}
 	return info, nil
 }

@@ -349,8 +349,10 @@ func TestClusterKillRankE2E(t *testing.T) {
 	}
 }
 
-// TestKKWalkFlagPairing covers the kkwalk UX satellite: -rank without
-// -peers (and vice versa) must fail fast with a usage error.
+// TestKKWalkFlagPairing: kkwalk's static multi-process flags are retired
+// in favour of kkcoord/kkrank, so a launch script still passing -rank or
+// -peers must fail fast with a usage error instead of silently running a
+// single-process walk.
 func TestKKWalkFlagPairing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
@@ -365,8 +367,8 @@ func TestKKWalkFlagPairing(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"rank without peers", []string{"-graph", graph, "-rank", "0"}, "-rank requires -peers"},
-		{"peers without rank", []string{"-graph", graph, "-peers", "127.0.0.1:1,127.0.0.1:2"}, "-peers requires -rank"},
+		{"rank without peers", []string{"-graph", graph, "-rank", "0"}, "flag provided but not defined: -rank"},
+		{"peers without rank", []string{"-graph", graph, "-peers", "127.0.0.1:1,127.0.0.1:2"}, "flag provided but not defined: -peers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

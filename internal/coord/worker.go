@@ -75,8 +75,8 @@ type attempt struct {
 	grace   *time.Timer
 	running bool
 
-	// superstep/walkers are set by the engine's OnProgress hook and read
-	// by the heartbeat goroutine.
+	// superstep/walkers are set from the engine's superstep spans (attempt
+	// is the run's core.Observer) and read by the heartbeat goroutine.
 	superstep atomic.Int64
 	walkers   atomic.Int64
 	// ep holds the live endpoint (*as transport.Endpoint) once the mesh is
@@ -90,6 +90,20 @@ type outcome struct {
 	res     *core.Result
 	err     error
 }
+
+// OnSuperstep implements core.Observer: it records the rank's last
+// completed superstep and the live walker count agreed at its barrier, the
+// progress the next heartbeat reports.
+func (at *attempt) OnSuperstep(span core.SuperstepSpan) {
+	at.superstep.Store(int64(span.Iteration))
+	at.walkers.Store(span.GlobalWalkers)
+}
+
+// ObserveStepTrials implements core.Observer; heartbeats need no trials.
+func (at *attempt) ObserveStepTrials(int64) {}
+
+// ObserveQueryBatch implements core.Observer.
+func (at *attempt) ObserveQueryBatch(int64) {}
 
 // abort requests aligned cancellation once.
 func (at *attempt) abort() {
@@ -346,10 +360,7 @@ func (w *worker) prepare(at *attempt, logf func(string, ...interface{})) (int, e
 		BatchSize:   spec.BatchSize,
 		NetTimeout:  time.Duration(spec.NetTimeoutMS) * time.Millisecond,
 		Cancel:      at.cancel,
-		OnProgress: func(iteration int, global int64) {
-			at.superstep.Store(int64(iteration))
-			at.walkers.Store(global)
-		},
+		Observer:    at,
 	}
 	// Every rank runs the coordinator's partition verbatim; for binary
 	// graphs the slice-loaded graph keeps the global vertex ID space and

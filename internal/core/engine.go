@@ -131,20 +131,17 @@ type Config struct {
 	// Counters receives engine counters (optional; Result always carries a
 	// snapshot).
 	Counters *stats.Counters
-	// IterLog receives one record per superstep (optional).
-	IterLog *stats.IterationLog
 	// Observer receives per-superstep span records and sampling/query
-	// observations (see observer.go). When it also implements
-	// transport.Observer, every endpoint is wrapped so exchange latency and
-	// frame payload sizes are observed at the transport layer. Nil disables
-	// telemetry; observations never touch walker RNG streams, so enabling
-	// it cannot change walk output.
+	// observations (see observer.go). Nil disables telemetry; observations
+	// never touch walker RNG streams, so enabling it cannot change walk
+	// output.
 	Observer Observer
 	// Trace receives the causal trace of the run: the step decisions, rank
 	// migrations, and rejection trial counts of deterministically sampled
-	// walkers (see trace.go). Nil disables tracing at the cost of one
-	// branch per hook; like Observer, trace hooks never touch walker RNG
-	// streams, so enabling tracing cannot change walk output.
+	// walkers, and every exchange's per-peer deliveries (see trace.go).
+	// Nil disables tracing at the cost of one branch per hook; like
+	// Observer, trace hooks never touch walker RNG streams, so enabling
+	// tracing cannot change walk output.
 	// internal/obs/tracelog.Collector is the production implementation.
 	Trace Tracer
 	// PartitionAlpha weighs vertices against edges in the 1-D partitioner
@@ -166,15 +163,6 @@ type Config struct {
 	// checkpoint write begins. kkwalk wires SIGINT/SIGTERM to this;
 	// internal/service closes it on DELETE /jobs/{id}.
 	Cancel <-chan struct{}
-	// OnProgress, when non-nil, is called once per superstep at the count
-	// barrier with the superstep index and the cluster-wide live walker
-	// count just agreed there (the final superstep reports 0). Under Run
-	// every in-process rank invokes it, so it must be safe for concurrent
-	// use; under RunNode it is this rank's progress beacon — kkrank
-	// piggybacks it onto coordinator heartbeats. The hook runs on the
-	// superstep path and must not block; like Observer it never touches
-	// walker RNG streams, so enabling it cannot change walk output.
-	OnProgress func(iteration int, globalWalkers int64)
 	// Checkpoint, when non-nil, makes every rank snapshot its walker state
 	// into the sink at each superstep barrier whose index is a multiple of
 	// the sink's Interval. The snapshot is taken at a consistent cut (all
@@ -270,13 +258,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 		eps = transport.NewInProcGroup(n)
 	}
-	if tobs, ok := cfg.Observer.(transport.Observer); ok {
-		observed := make([]transport.Endpoint, len(eps))
-		for i, ep := range eps {
-			observed[i] = transport.WithObserver(ep, tobs)
-		}
-		eps = observed
-	}
 	if cfg.NetTimeout > 0 {
 		guarded := make([]transport.Endpoint, len(eps))
 		for i, ep := range eps {
@@ -367,9 +348,6 @@ func Run(cfg Config) (*Result, error) {
 func RunNode(cfg Config, ep transport.Endpoint) (*Result, error) {
 	if ep == nil {
 		return nil, fmt.Errorf("core: RunNode requires an endpoint")
-	}
-	if tobs, ok := cfg.Observer.(transport.Observer); ok {
-		ep = transport.WithObserver(ep, tobs)
 	}
 	ep = transport.WithExchangeTimeout(ep, cfg.NetTimeout)
 	cfg.Endpoints = nil
@@ -551,8 +529,9 @@ type node struct {
 	// localMig is non-nil when the endpoint shares this process's address
 	// space (transport.LocalSender): migrations then transfer walker
 	// objects by reference instead of round-tripping through the wire
-	// codec. Any wrapper (observer, timeout, fault injection) hides the
-	// capability, restoring the byte path.
+	// codec. A wrapping endpoint (exchange timeout, fault injection) hides
+	// the capability, restoring the byte path; observers and tracers never
+	// wrap the endpoint, so attaching them keeps the zero-copy path.
 	localMig transport.LocalSender
 
 	interleaved bool
@@ -570,8 +549,8 @@ type node struct {
 	stepMove      int64 //kk:phase compute,superstep
 	stepUpdate    int64 //kk:phase compute,superstep
 
-	// tracer receives sampled walker journeys when Config.Trace is set
-	// (see trace.go); curIter is the running superstep number stamped on
+	// tracer receives sampled walker journeys and exchange deliveries when
+	// Config.Trace is set (see trace.go); curIter is the running superstep number stamped on
 	// each event. The loop goroutine writes curIter before phase A's
 	// workers launch and they all join before the next write, so workers
 	// read it race-free.
@@ -832,18 +811,22 @@ func (o *outBufs) flush(ep transport.Endpoint, ls transport.LocalSender) {
 
 // exchange runs one collective exchange, accumulating its wall time (wire
 // transfer plus barrier wait) into the ExchangeNanos counter so that
-// communication cost is separable from compute in run summaries.
+// communication cost is separable from compute in run summaries, and
+// reporting the delivery to the tracer.
 func (n *node) exchange() ([]transport.Message, error) {
 	start := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
 	msgs, err := n.ep.Exchange()
-	d := time.Since(start).Nanoseconds() //kk:nondet-ok telemetry-only timing; never feeds walk state
-	n.counters.ExchangeNanos.Add(d)
+	d := time.Since(start) //kk:nondet-ok telemetry-only timing; never feeds walk state
+	n.counters.ExchangeNanos.Add(d.Nanoseconds())
 	if n.obs != nil {
-		n.stepExchange += d
+		n.stepExchange += d.Nanoseconds()
 		n.stepRecvMsgs += int64(len(msgs))
 		for _, m := range msgs {
 			n.stepRecvBytes += int64(len(m.Payload))
 		}
+	}
+	if n.tracer != nil {
+		n.tracer.ObserveExchangePeers(n.rank, d, msgs)
 	}
 	return msgs, err
 }
@@ -875,7 +858,7 @@ func (n *node) run() (iterations, lightIters int, err error) {
 
 		// Span accumulators for this superstep; exchange time and received
 		// traffic land in the node's step* fields via exchange().
-		var computeNanos, ckptNanos, globalCount int64
+		var computeNanos, ckptNanos, ckptBytes, globalCount int64
 		n.stepExchange, n.stepRecvMsgs, n.stepRecvBytes = 0, 0, 0
 		n.stepGather, n.stepMove, n.stepUpdate = 0, 0, 0
 		emitSpan := func() {
@@ -898,6 +881,7 @@ func (n *node) run() (iterations, lightIters int, err error) {
 				ExchangeNanos:   n.stepExchange,
 				BarrierNanos:    barrier,
 				CheckpointNanos: ckptNanos,
+				CheckpointBytes: ckptBytes,
 				GatherNanos:     n.stepGather,
 				MoveNanos:       n.stepMove,
 				UpdateNanos:     n.stepUpdate,
@@ -964,17 +948,6 @@ func (n *node) run() (iterations, lightIters int, err error) {
 		globalCount = global
 		computeNanos += time.Since(demuxStart).Nanoseconds() //kk:nondet-ok telemetry-only timing; never feeds walk state
 
-		if n.rank == 0 && n.cfg.IterLog != nil {
-			n.cfg.IterLog.Append(stats.IterationRecord{
-				Iteration:     iterations,
-				ActiveWalkers: global,
-				Duration:      time.Since(start), //kk:nondet-ok telemetry-only timing; never feeds walk state
-				LightMode:     light,
-			})
-		}
-		if n.cfg.OnProgress != nil {
-			n.cfg.OnProgress(iterations, global)
-		}
 		if global == 0 {
 			emitSpan()
 			return iterations, lightIters, nil
@@ -1007,7 +980,7 @@ func (n *node) run() (iterations, lightIters int, err error) {
 			// phase of the span, not the exchange phase.
 			preExchange := n.stepExchange
 			ckptStart := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
-			if err := n.writeCheckpoint(iterations); err != nil {
+			if ckptBytes, err = n.writeCheckpoint(iterations); err != nil {
 				return iterations, lightIters, err
 			}
 			ckptNanos = time.Since(ckptStart).Nanoseconds() //kk:nondet-ok telemetry-only timing; never feeds walk state

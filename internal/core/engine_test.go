@@ -291,31 +291,33 @@ func TestLightModeDoesNotChangeResults(t *testing.T) {
 	assertSamePaths(t, run(-1), run(1<<20))
 }
 
+// TestIterationLogRecordsShrinkingActiveSet: rank 0's spans form the
+// per-superstep active-set series Figure 5 plots.
 func TestIterationLogRecordsShrinkingActiveSet(t *testing.T) {
 	g := gen.UniformDegree(50, 6, 23)
-	var log stats.IterationLog
+	log := &spanLog{}
 	_, err := Run(Config{
 		Graph:      g,
 		Algorithm:  &Algorithm{Name: "geo", TerminationProb: 0.3},
 		NumWalkers: 1000,
 		Seed:       25,
-		IterLog:    &log,
+		Observer:   log,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := log.Records()
+	recs := log.spans
 	if len(recs) < 3 {
-		t.Fatalf("only %d iteration records", len(recs))
+		t.Fatalf("only %d spans", len(recs))
 	}
-	if recs[len(recs)-1].ActiveWalkers != 0 {
-		t.Fatalf("last record has %d active walkers", recs[len(recs)-1].ActiveWalkers)
+	if recs[len(recs)-1].GlobalWalkers != 0 {
+		t.Fatalf("last span has %d active walkers", recs[len(recs)-1].GlobalWalkers)
 	}
 	// Active set must be non-increasing for a pure-termination walk.
 	for i := 1; i < len(recs); i++ {
-		if recs[i].ActiveWalkers > recs[i-1].ActiveWalkers {
-			t.Fatalf("active walkers grew at iteration %d: %d -> %d",
-				i, recs[i-1].ActiveWalkers, recs[i].ActiveWalkers)
+		if recs[i].GlobalWalkers > recs[i-1].GlobalWalkers {
+			t.Fatalf("active walkers grew at superstep %d: %d -> %d",
+				recs[i].Iteration, recs[i-1].GlobalWalkers, recs[i].GlobalWalkers)
 		}
 	}
 }

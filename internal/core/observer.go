@@ -52,6 +52,9 @@ type SuperstepSpan struct {
 	ExchangeNanos   int64 `json:"exchange_ns"`
 	BarrierNanos    int64 `json:"barrier_ns"`
 	CheckpointNanos int64 `json:"checkpoint_ns"`
+	// CheckpointBytes is the size of the segment this rank wrote on a
+	// checkpoint superstep, zero elsewhere.
+	CheckpointBytes int64 `json:"checkpoint_bytes,omitempty"`
 
 	// Gather/Move/Update break phase A's interleaved pipeline down by
 	// stage, summed across workers (CPU time, so they can exceed the

@@ -7,9 +7,25 @@ import (
 	"knightking/internal/gen"
 )
 
-// TestOnProgressReportsBarriers: the hook fires once per superstep per
-// rank with monotonically increasing iterations, the final call reports
-// zero live walkers, and enabling it does not change walk output.
+// spanLog is a test Observer recording every superstep span, the facts a
+// progress beacon (kkrank's heartbeat) or an active-set series (Figure 5)
+// reads.
+type spanLog struct {
+	mu    sync.Mutex
+	spans []SuperstepSpan
+}
+
+func (l *spanLog) OnSuperstep(span SuperstepSpan) {
+	l.mu.Lock()
+	l.spans = append(l.spans, span)
+	l.mu.Unlock()
+}
+func (l *spanLog) ObserveStepTrials(int64) {}
+func (l *spanLog) ObserveQueryBatch(int64) {}
+
+// TestOnProgressReportsBarriers: an observer sees one span per superstep
+// per rank, each rank's in increasing superstep order, the final span
+// reports zero live walkers, and observing does not change walk output.
 func TestOnProgressReportsBarriers(t *testing.T) {
 	g := gen.UniformDegree(40, 5, 3)
 	base := Config{
@@ -25,53 +41,34 @@ func TestOnProgressReportsBarriers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
-	var iters []int
-	var globals []int64
+	log := &spanLog{}
 	cfg := base
-	cfg.OnProgress = func(iteration int, global int64) {
-		mu.Lock()
-		iters = append(iters, iteration)
-		globals = append(globals, global)
-		mu.Unlock()
-	}
+	cfg.Observer = log
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if len(iters) != res.Iterations*base.NumNodes {
-		t.Fatalf("hook fired %d times, want %d (iterations %d × %d ranks)",
-			len(iters), res.Iterations*base.NumNodes, res.Iterations, base.NumNodes)
+	if len(log.spans) != res.Iterations*base.NumNodes {
+		t.Fatalf("observer saw %d spans, want %d (iterations %d × %d ranks)",
+			len(log.spans), res.Iterations*base.NumNodes, res.Iterations, base.NumNodes)
 	}
-	perRank := make(map[int]int) // iteration -> calls
-	finals := 0
-	for i, it := range iters {
-		perRank[it]++
-		if it == res.Iterations && globals[i] != 0 {
-			t.Errorf("final superstep %d reported %d live walkers, want 0", it, globals[i])
+	perIter := make(map[int]int)  // superstep -> spans
+	lastIter := make(map[int]int) // rank -> last superstep seen
+	for _, sp := range log.spans {
+		perIter[sp.Iteration]++
+		if sp.Iteration <= lastIter[sp.Rank] {
+			t.Errorf("rank %d reported superstep %d after %d", sp.Rank, sp.Iteration, lastIter[sp.Rank])
 		}
-		if it == res.Iterations {
-			finals++
+		lastIter[sp.Rank] = sp.Iteration
+		if sp.Iteration == res.Iterations && sp.GlobalWalkers != 0 {
+			t.Errorf("final superstep %d reported %d live walkers, want 0", sp.Iteration, sp.GlobalWalkers)
 		}
 	}
 	for it := 1; it <= res.Iterations; it++ {
-		if perRank[it] != base.NumNodes {
-			t.Errorf("superstep %d observed by %d ranks, want %d", it, perRank[it], base.NumNodes)
+		if perIter[it] != base.NumNodes {
+			t.Errorf("superstep %d observed by %d ranks, want %d", it, perIter[it], base.NumNodes)
 		}
 	}
-	if finals != base.NumNodes {
-		t.Errorf("final superstep observed %d times, want %d", finals, base.NumNodes)
-	}
-
-	for id := range golden.Paths {
-		if len(golden.Paths[id]) != len(res.Paths[id]) {
-			t.Fatalf("walker %d path length changed with OnProgress enabled", id)
-		}
-		for j := range golden.Paths[id] {
-			if golden.Paths[id][j] != res.Paths[id][j] {
-				t.Fatalf("walker %d diverged at step %d with OnProgress enabled", id, j)
-			}
-		}
-	}
+	assertSamePaths(t, golden.Paths, res.Paths)
 }

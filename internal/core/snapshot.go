@@ -77,8 +77,9 @@ func (n *node) checkpointDue(iteration int) bool {
 // barrier: every rank writes its segment, sends a descriptor to rank 0,
 // and enters one extra exchange. Once that exchange returns, all segments
 // are durable and rank 0 commits the manifest. Any failure aborts the run
-// (the previous complete checkpoint remains the recovery point).
-func (n *node) writeCheckpoint(iteration int) error {
+// (the previous complete checkpoint remains the recovery point). It
+// returns the size of this rank's segment.
+func (n *node) writeCheckpoint(iteration int) (int64, error) {
 	start := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
 	blob := n.encodeSnapshot(iteration)
 	info, werr := n.cfg.Checkpoint.WriteSegment(iteration, n.rank, blob)
@@ -94,23 +95,23 @@ func (n *node) writeCheckpoint(iteration int) error {
 	// detects as an incomplete segment set.
 	msgs, err := n.exchange()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if werr != nil {
-		return fmt.Errorf("core: checkpoint segment at superstep %d: %w", iteration, werr)
+		return 0, fmt.Errorf("core: checkpoint segment at superstep %d: %w", iteration, werr)
 	}
 	n.counters.CheckpointBytes.Add(int64(len(blob)))
 	n.counters.CheckpointNanos.Add(time.Since(start).Nanoseconds()) //kk:nondet-ok telemetry-only timing; never feeds walk state
 	if n.rank != 0 {
 		if len(msgs) != 0 {
-			return fmt.Errorf("core: unexpected %d messages at checkpoint barrier on rank %d", len(msgs), n.rank)
+			return 0, fmt.Errorf("core: unexpected %d messages at checkpoint barrier on rank %d", len(msgs), n.rank)
 		}
-		return nil
+		return int64(len(blob)), nil
 	}
 	segs := make([]SegmentInfo, 0, n.ep.Size())
 	for _, m := range msgs {
 		if m.Kind != kCkpt || len(m.Payload) != ckptRecordLen {
-			return fmt.Errorf("core: malformed checkpoint descriptor from rank %d", m.From)
+			return 0, fmt.Errorf("core: malformed checkpoint descriptor from rank %d", m.From)
 		}
 		segs = append(segs, SegmentInfo{
 			Rank: int(binary.LittleEndian.Uint32(m.Payload[0:])),
@@ -119,19 +120,19 @@ func (n *node) writeCheckpoint(iteration int) error {
 		})
 	}
 	if len(segs) != n.ep.Size() {
-		return fmt.Errorf("core: checkpoint at superstep %d incomplete: %d of %d segments", iteration, len(segs), n.ep.Size())
+		return 0, fmt.Errorf("core: checkpoint at superstep %d incomplete: %d of %d segments", iteration, len(segs), n.ep.Size())
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].Rank < segs[j].Rank })
 	for i, s := range segs {
 		if s.Rank != i {
-			return fmt.Errorf("core: checkpoint descriptors are not a permutation of ranks")
+			return 0, fmt.Errorf("core: checkpoint descriptors are not a permutation of ranks")
 		}
 	}
 	if err := n.cfg.Checkpoint.Commit(iteration, segs); err != nil {
-		return fmt.Errorf("core: checkpoint commit at superstep %d: %w", iteration, err)
+		return 0, fmt.Errorf("core: checkpoint commit at superstep %d: %w", iteration, err)
 	}
 	n.counters.Checkpoints.Add(1)
-	return nil
+	return int64(len(blob)), nil
 }
 
 // resendPendingQueries re-issues the outstanding state queries of awaiting

@@ -2,7 +2,8 @@
 // aggregated per-superstep spans, Tracer delivers the fine-grained causal
 // record underneath them: the journey of individual (deterministically
 // sampled) walkers — every step decision, every rank migration, every
-// rejection trial burst. internal/obs/tracelog provides the production
+// rejection trial burst — and every collective exchange with its per-peer
+// deliveries. internal/obs/tracelog provides the production
 // implementation (a bounded ring-buffer collector with Perfetto export);
 // the engine only defines the contract.
 //
@@ -12,7 +13,12 @@
 // tracing cannot change walk output.
 package core
 
-import "knightking/internal/graph"
+import (
+	"time"
+
+	"knightking/internal/graph"
+	"knightking/internal/transport"
+)
 
 // WalkerEventKind discriminates the step outcomes a sampled walker's
 // journey records.
@@ -84,6 +90,13 @@ type Tracer interface {
 	// OnWalkerEvent records one sampled walker's step decision. Only
 	// called for walkers TraceWalker accepted.
 	OnWalkerEvent(ev WalkerTraceEvent)
+	// ObserveExchangePeers is called once per completed collective
+	// Exchange on the receiving rank, with the call's wall time and the
+	// delivered messages — the trace's per-peer view of exchange skew. The
+	// msgs slice and its payloads stay owned by the endpoint (the transport
+	// payload-ownership contract): aggregate what is needed (m.From,
+	// len(m.Payload)) before returning and never retain the slice.
+	ObserveExchangePeers(rank int, d time.Duration, msgs []transport.Message)
 }
 
 // traceWalkerEvent emits one walker journey event if tracing is on and the

@@ -14,8 +14,9 @@
 //     developer machines.
 //
 // The observer-passivity rule that used to live here moved to the
-// barrierphase analyzer, which generalizes it to Tracer interfaces,
-// channel sends, and interprocedural write-through.
+// barrierphase analyzer, which applies it to both engine hook surfaces
+// (core.Observer and core.Tracer) and adds channel sends and
+// interprocedural write-through.
 package atomiccounter
 
 import (
@@ -211,4 +212,3 @@ func fieldPos(st *ast.StructType, i int, f *types.Var) token.Pos {
 	}
 	return f.Pos()
 }
-

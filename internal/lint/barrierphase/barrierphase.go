@@ -18,9 +18,9 @@
 //
 // Rule 2: hook passivity, generalized from the ad-hoc check that lived in
 // atomiccounter. Implementations of any interface whose name ends in
-// Observer or Tracer (core.Observer, core.Tracer,
-// transport.ExchangePeerObserver, fixtures) may accumulate into their own
-// receiver but must be passive toward the engine: no writes to state
+// Observer or Tracer (the engine's two hook surfaces, core.Observer and
+// core.Tracer, plus fixtures) may accumulate into their own receiver but
+// must be passive toward the engine: no writes to state
 // reachable from hook parameters — directly or by passing a parameter to
 // an in-package function that writes through it (tracked with the shared
 // interprocedural write-through summaries) — and no channel sends, direct

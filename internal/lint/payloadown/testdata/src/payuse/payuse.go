@@ -134,3 +134,15 @@ func reassignCleanOK(c *cache, e *fakewire.Endpoint) {
 	}
 	c.msgs = fresh
 }
+
+// peerTracer mirrors core.Tracer's exchange hook, whose contract forbids
+// retaining the delivered slice.
+type peerTracer interface {
+	ObserveExchangePeers(rank int, msgs []fakewire.Message)
+}
+
+func hookCallOK(tr peerTracer, e *fakewire.Endpoint) {
+	// Handing delivered messages to a no-retain hook is not retention.
+	msgs, _ := e.Exchange(nil)
+	tr.ObserveExchangePeers(0, msgs)
+}

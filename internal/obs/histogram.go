@@ -2,8 +2,8 @@
 // histograms for hot-path observations, per-superstep span records with
 // JSONL export, a Prometheus-text + /statusz + pprof admin server, and the
 // glue that fills the end-of-run stats.Report. The Registry type implements
-// core.Observer, transport.Observer, and the checkpoint store's segment
-// hook, so one value wires the whole engine.
+// core.Observer and derives every histogram it can from the superstep
+// spans, so one value wires the whole engine.
 //
 // Telemetry is strictly passive: observations never touch walker RNG
 // streams, so enabling it cannot change walk output (pinned by

@@ -12,6 +12,7 @@ import (
 	"knightking/internal/core"
 	"knightking/internal/gen"
 	"knightking/internal/graph"
+	"knightking/internal/obs/tracelog"
 )
 
 func node2vecConfig(g *graph.Graph) core.Config {
@@ -49,20 +50,7 @@ func TestTelemetryDoesNotChangeWalkOutput(t *testing.T) {
 		t.Fatalf("observed run: %v", err)
 	}
 
-	if len(base.Paths) != len(observed.Paths) {
-		t.Fatalf("path count %d != %d", len(base.Paths), len(observed.Paths))
-	}
-	for w := range base.Paths {
-		a, b := base.Paths[w], observed.Paths[w]
-		if len(a) != len(b) {
-			t.Fatalf("walker %d: length %d != %d", w, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("walker %d diverged at step %d: %d != %d", w, i, a[i], b[i])
-			}
-		}
-	}
+	assertSamePaths(t, "observed", base.Paths, observed.Paths)
 	if base.Iterations != observed.Iterations {
 		t.Errorf("iterations %d != %d", base.Iterations, observed.Iterations)
 	}
@@ -103,10 +91,14 @@ func TestTelemetryDoesNotChangeWalkOutput(t *testing.T) {
 	}
 
 	// The engine histograms the walk exercises must be non-empty.
-	for _, h := range []*Histogram{reg.TrialsPerStep, reg.QueryBatch, reg.FramePayload, reg.ExchangeLatency} {
+	for _, h := range []*Histogram{reg.TrialsPerStep, reg.QueryBatch} {
 		if h.Snapshot().Count == 0 {
 			t.Errorf("histogram %s is empty", h.Name())
 		}
+	}
+	// Exchange latency is derived from the spans: one per rank-superstep.
+	if n := reg.ExchangeLatency.Snapshot().Count; n != int64(want) {
+		t.Errorf("exchange_latency_ns count %d, want one per span (%d)", n, want)
 	}
 	// Trials-per-step observations approximate the step counter.
 	ts := reg.TrialsPerStep.Snapshot()
@@ -118,9 +110,9 @@ func TestTelemetryDoesNotChangeWalkOutput(t *testing.T) {
 	}
 }
 
-// TestCheckpointTelemetry wires the registry's segment hook into a
-// checkpointed run and requires the checkpoint histograms and span
-// checkpoint phases to light up.
+// TestCheckpointTelemetry observes a checkpointed run and requires the
+// span-derived checkpoint histograms to count one observation per written
+// segment, summing to the bytes the counters report.
 func TestCheckpointTelemetry(t *testing.T) {
 	g := gen.UniformDegree(100, 6, 5)
 	reg := NewRegistry(nil)
@@ -131,7 +123,6 @@ func TestCheckpointTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	store.Observe = reg.ObserveCheckpointSegment
 
 	cfg := node2vecConfig(g)
 	cfg.Counters = reg.Counters()
@@ -146,7 +137,7 @@ func TestCheckpointTelemetry(t *testing.T) {
 	}
 
 	cb := reg.CheckpointBytes.Snapshot()
-	if cb.Count == 0 || cb.Sum != res.Counters.CheckpointBytes {
+	if segments := res.Counters.Checkpoints * 3; cb.Count != segments || cb.Sum != res.Counters.CheckpointBytes {
 		t.Errorf("checkpoint_segment_bytes count=%d sum=%d, counters say %d bytes",
 			cb.Count, cb.Sum, res.Counters.CheckpointBytes)
 	}
@@ -168,5 +159,89 @@ func TestCheckpointTelemetry(t *testing.T) {
 	rep := fmt.Sprintf("%v", reg.StragglerSkew())
 	if rep == "0" {
 		t.Error("straggler skew missing after checkpointed run")
+	}
+}
+
+// TestObservationKeepsZeroCopyMigration runs a 2-rank in-process biased
+// DeepWalk plain, with kkwalk's wiring (the registry as Observer with a
+// trace collector attached, the collector as Trace) and with kkserve's
+// wiring (one collector as Observer and Trace). Attaching observation must
+// change neither the walks nor the transport traffic — in-process
+// migrations stay on the zero-copy path instead of the byte codec — while
+// the trace still records every exchange with its per-peer deliveries.
+func TestObservationKeepsZeroCopyMigration(t *testing.T) {
+	g := gen.WithUniformWeights(gen.UniformDegree(400, 8, 11), 1, 4, 12)
+	config := func() core.Config {
+		return core.Config{
+			Graph:       g,
+			Algorithm:   alg.DeepWalk(20, true),
+			NumNodes:    2,
+			Workers:     2,
+			Seed:        5,
+			RecordPaths: true,
+		}
+	}
+	plain, err := core.Run(config())
+	if err != nil {
+		t.Fatalf("plain run: %v", err)
+	}
+
+	reg := NewRegistry(nil)
+	walkTrace := tracelog.New(tracelog.Options{Ranks: 2})
+	reg.SetTrace(walkTrace)
+	cfg := config()
+	cfg.Counters, cfg.Observer, cfg.Trace = reg.Counters(), reg, walkTrace
+	viaRegistry, err := core.Run(cfg)
+	if err != nil {
+		t.Fatalf("registry-observed run: %v", err)
+	}
+
+	serveTrace := tracelog.New(tracelog.Options{Ranks: 2})
+	cfg = config()
+	cfg.Observer, cfg.Trace = serveTrace, serveTrace
+	viaCollector, err := core.Run(cfg)
+	if err != nil {
+		t.Fatalf("collector-observed run: %v", err)
+	}
+
+	for _, run := range []struct {
+		name string
+		res  *core.Result
+		tc   *tracelog.Collector
+	}{{"kkwalk wiring", viaRegistry, walkTrace}, {"kkserve wiring", viaCollector, serveTrace}} {
+		assertSamePaths(t, run.name, plain.Paths, run.res.Paths)
+		if run.res.Counters.Messages != plain.Counters.Messages || run.res.Counters.BytesSent != plain.Counters.BytesSent {
+			t.Errorf("%s: %d messages / %d bytes sent, plain run %d / %d",
+				run.name, run.res.Counters.Messages, run.res.Counters.BytesSent,
+				plain.Counters.Messages, plain.Counters.BytesSent)
+		}
+		kinds := make(map[tracelog.Kind]int)
+		events, _ := run.tc.Events()
+		for _, ev := range events {
+			kinds[ev.Kind]++
+		}
+		if kinds[tracelog.KindExchange] == 0 || kinds[tracelog.KindExchangePeer] == 0 {
+			t.Errorf("%s: trace holds %d exchange and %d exchange-peer events, want both",
+				run.name, kinds[tracelog.KindExchange], kinds[tracelog.KindExchangePeer])
+		}
+	}
+}
+
+// assertSamePaths requires bit-identical walks.
+func assertSamePaths(t *testing.T, name string, want, got [][]graph.VertexID) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: path count %d != %d", name, len(got), len(want))
+	}
+	for w := range want {
+		a, b := want[w], got[w]
+		if len(a) != len(b) {
+			t.Fatalf("%s: walker %d: length %d != %d", name, w, len(b), len(a))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: walker %d diverged at step %d: %d != %d", name, w, i, b[i], a[i])
+			}
+		}
 	}
 }

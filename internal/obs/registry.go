@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 	"knightking/internal/core"
 	"knightking/internal/obs/tracelog"
 	"knightking/internal/stats"
-	"knightking/internal/transport"
 )
 
 // SpanSchemaVersion is the version stamped into the v field of every
@@ -20,21 +18,19 @@ import (
 //	(absent) — the pre-versioning encoding (PR 3); readers should treat
 //	           a missing v as version 1.
 //	2        — adds the v field itself (encoding otherwise unchanged).
+//	3        — adds checkpoint_bytes (omitted when zero).
 //
 // Bump it whenever a field is added, removed, or changes meaning, and
-// update the golden encoding test in span_golden_test.go.
-const SpanSchemaVersion = 2
+// update the golden encoding test in span_test.go.
+const SpanSchemaVersion = 3
 
 // Registry is the run-wide telemetry hub: the engine histograms, the
 // per-superstep span log, and the live state the admin server exposes. It
-// implements core.Observer and transport.Observer, and its
-// ObserveCheckpointSegment matches the checkpoint store's Observe hook, so
-// wiring a run is:
+// implements core.Observer and derives the exchange and checkpoint
+// histograms from the spans, so wiring a run is:
 //
 //	reg := obs.NewRegistry(counters)
-//	cfg.Observer = reg            // engine spans + sampling histograms,
-//	                              // transport wrapping is automatic
-//	store.Observe = reg.ObserveCheckpointSegment
+//	cfg.Observer = reg
 //
 // Under core.Run every simulated rank shares one registry, so cross-rank
 // histogram merging is implicit; multi-process ranks each own a registry
@@ -44,13 +40,12 @@ type Registry struct {
 	counters *stats.Counters
 	start    time.Time
 
-	// Engine and transport histograms, fixed at construction.
+	// Engine histograms, fixed at construction.
 	TrialsPerStep   *Histogram // rejection darts per completed walker step
 	QueryBatch      *Histogram // records per incoming phase-B query batch
-	FramePayload    *Histogram // payload bytes per delivered transport message
-	ExchangeLatency *Histogram // nanoseconds per collective Exchange call
+	ExchangeLatency *Histogram // exchange nanoseconds per rank-superstep
 	CheckpointBytes *Histogram // bytes per durably written checkpoint segment
-	CheckpointWrite *Histogram // nanoseconds per checkpoint segment write
+	CheckpointWrite *Histogram // checkpoint nanoseconds per rank-checkpoint
 
 	// Live gauges, updated by OnSuperstep.
 	superstep     atomic.Int64
@@ -75,9 +70,8 @@ type Registry struct {
 	rankExchange map[int]int64
 	rankCompute  map[int]int64
 
-	// trace, when set, receives every span and exchange-peer observation
-	// the registry sees, building the run's causal trace alongside the
-	// aggregates (see SetTrace).
+	// trace, when set, receives every span the registry sees, building the
+	// run's causal trace alongside the aggregates (see SetTrace).
 	trace atomic.Pointer[tracelog.Collector]
 }
 
@@ -94,10 +88,9 @@ func NewRegistry(c *stats.Counters) *Registry {
 
 		TrialsPerStep:   NewHistogram("trials_per_step", "Rejection-sampling darts thrown per completed walker step."),
 		QueryBatch:      NewHistogram("query_batch_records", "State-query records per incoming phase-B batch."),
-		FramePayload:    NewHistogram("frame_payload_bytes", "Payload bytes per delivered transport message."),
-		ExchangeLatency: NewHistogram("exchange_latency_ns", "Wall nanoseconds per collective Exchange call (wire + barrier wait)."),
+		ExchangeLatency: NewHistogram("exchange_latency_ns", "Wall nanoseconds per rank-superstep spent in collective exchanges (wire + barrier wait)."),
 		CheckpointBytes: NewHistogram("checkpoint_segment_bytes", "Bytes per durably written checkpoint segment."),
-		CheckpointWrite: NewHistogram("checkpoint_write_ns", "Wall nanoseconds per checkpoint segment write (including fsync)."),
+		CheckpointWrite: NewHistogram("checkpoint_write_ns", "Wall nanoseconds per rank-checkpoint (encode, segment write with fsync, commit barrier)."),
 
 		rankExchange: make(map[int]int64),
 		rankCompute:  make(map[int]int64),
@@ -116,9 +109,9 @@ func (r *Registry) SetRunInfo(algorithm string, vertices int, edges int64, ranks
 }
 
 // SetTrace attaches a causal-trace collector: the registry forwards every
-// superstep span and per-peer exchange observation to it, and /statusz and
-// FillReport pick up its critical-path summary. Wire the same collector
-// into core.Config.Trace for walker journeys. Call before the run starts.
+// superstep span to it, and /statusz and FillReport pick up its
+// critical-path summary. Wire the same collector into core.Config.Trace
+// for walker journeys and exchange spans. Call before the run starts.
 func (r *Registry) SetTrace(c *tracelog.Collector) { r.trace.Store(c) }
 
 // Trace returns the attached collector, or nil.
@@ -135,7 +128,8 @@ func (r *Registry) SetSpanWriter(w io.Writer) {
 
 // OnSuperstep implements core.Observer: it appends the span to the log,
 // streams it to the span writer, folds the phase durations into the
-// per-rank totals behind StragglerSkew, and refreshes the live gauges.
+// per-rank totals behind StragglerSkew and the exchange and checkpoint
+// histograms, and refreshes the live gauges.
 func (r *Registry) OnSuperstep(span core.SuperstepSpan) {
 	// Stamp the encoding schema version on the registry's own copy; the
 	// engine's span value is never touched.
@@ -149,6 +143,11 @@ func (r *Registry) OnSuperstep(span core.SuperstepSpan) {
 	}
 	if span.Rank == 0 {
 		r.lightMode.Store(span.LightMode)
+	}
+	r.ExchangeLatency.Observe(span.ExchangeNanos)
+	if span.CheckpointBytes > 0 {
+		r.CheckpointBytes.Observe(span.CheckpointBytes)
+		r.CheckpointWrite.Observe(span.CheckpointNanos)
 	}
 	r.gatherNanos.Add(span.GatherNanos)
 	r.moveNanos.Add(span.MoveNanos)
@@ -178,34 +177,10 @@ func (r *Registry) ObserveStepTrials(trials int64) { r.TrialsPerStep.Observe(tri
 // ObserveQueryBatch implements core.Observer.
 func (r *Registry) ObserveQueryBatch(records int64) { r.QueryBatch.Observe(records) }
 
-// ObserveExchange implements transport.Observer.
-func (r *Registry) ObserveExchange(d time.Duration, messages int, bytes int64) {
-	r.ExchangeLatency.Observe(d.Nanoseconds())
-}
-
-// ObserveFramePayload implements transport.Observer.
-func (r *Registry) ObserveFramePayload(bytes int) { r.FramePayload.Observe(int64(bytes)) }
-
-// ObserveExchangePeers implements transport.ExchangePeerObserver by
-// forwarding to the attached trace collector (a no-op without one), so a
-// registry-observed run gets exchange spans with peer attribution in its
-// trace for free.
-func (r *Registry) ObserveExchangePeers(rank int, d time.Duration, msgs []transport.Message) {
-	if c := r.trace.Load(); c != nil {
-		c.ObserveExchangePeers(rank, d, msgs)
-	}
-}
-
-// ObserveCheckpointSegment matches checkpoint.Store's Observe hook.
-func (r *Registry) ObserveCheckpointSegment(rank int, bytes int64, d time.Duration) {
-	r.CheckpointBytes.Observe(bytes)
-	r.CheckpointWrite.Observe(d.Nanoseconds())
-}
-
 // Histograms returns the registry's histograms in stable rendering order.
 func (r *Registry) Histograms() []*Histogram {
 	return []*Histogram{
-		r.TrialsPerStep, r.QueryBatch, r.FramePayload,
+		r.TrialsPerStep, r.QueryBatch,
 		r.ExchangeLatency, r.CheckpointBytes, r.CheckpointWrite,
 	}
 }
@@ -328,8 +303,9 @@ func (r *Registry) Status() Status {
 		ts := c.StatusSnapshot()
 		st.Trace = &ts
 	}
-	st.Histograms = make(map[string]HistogramStatus, 6)
-	for _, h := range r.Histograms() {
+	hists := r.Histograms()
+	st.Histograms = make(map[string]HistogramStatus, len(hists))
+	for _, h := range hists {
 		s := h.Snapshot()
 		st.Histograms[s.Name] = HistogramStatus{
 			Count: s.Count,
@@ -340,16 +316,4 @@ func (r *Registry) Status() Status {
 		}
 	}
 	return st
-}
-
-// WriteSpansJSONL writes the collected spans as JSONL to w (for callers
-// that prefer a post-run dump over a live SetSpanWriter stream).
-func (r *Registry) WriteSpansJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, s := range r.Spans() {
-		if err := enc.Encode(s); err != nil {
-			return fmt.Errorf("obs: span export: %w", err)
-		}
-	}
-	return nil
 }

@@ -43,7 +43,7 @@ func TestAdminServer(t *testing.T) {
 	if !strings.Contains(body, "kk_steps_total 10") {
 		t.Errorf("/metrics missing counter, body:\n%s", body)
 	}
-	if strings.Count(body, "# TYPE") < 15+3+6 {
+	if strings.Count(body, "# TYPE") < 15+3+5 {
 		t.Errorf("/metrics family count too low:\n%s", body)
 	}
 
@@ -64,8 +64,8 @@ func TestAdminServer(t *testing.T) {
 	if st.Counters.Steps != 10 {
 		t.Errorf("/statusz counters = %+v", st.Counters)
 	}
-	if len(st.Histograms) != 6 {
-		t.Errorf("/statusz has %d histogram digests, want 6", len(st.Histograms))
+	if len(st.Histograms) != 5 {
+		t.Errorf("/statusz has %d histogram digests, want 5", len(st.Histograms))
 	}
 
 	if code, _, _ := get(t, base+"/debug/pprof/"); code != http.StatusOK {

@@ -45,8 +45,7 @@ func BenchmarkEngineDeepWalk4NodesTraced(b *testing.B) {
 // BenchmarkEngineDeepWalk4NodesTraceOnly attaches only the Tracer hook
 // (journey sampling, no Observer): it isolates the engine-side cost of
 // tracing itself. The gap between this and the full Traced benchmark is
-// the transport observer's serialization of local deliveries — the same
-// cost any telemetry attachment (obs.Registry included) already pays.
+// the Observer side: per-step trial hooks, stage timing and span records.
 func BenchmarkEngineDeepWalk4NodesTraceOnly(b *testing.B) {
 	g := gen.TruncatedPowerLaw(5000, 4, 500, 2.0, 1)
 	a := alg.DeepWalk(20, false)

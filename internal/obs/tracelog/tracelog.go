@@ -114,11 +114,11 @@ type Options struct {
 }
 
 // Collector is the ring-buffer trace collector. It implements
-// core.Observer (superstep → phase spans), core.Tracer (sampled walker
-// journeys), transport.Observer and transport.ExchangePeerObserver
-// (exchange spans with peer attribution), so one value can serve as a
-// run's Observer and Trace at once — internal/service wires it exactly
-// that way — or hang off internal/obs.Registry via SetTrace.
+// core.Observer (superstep → phase spans) and core.Tracer (sampled walker
+// journeys, exchange spans with peer attribution), so one value can serve
+// as a run's Observer and Trace at once — internal/service wires it
+// exactly that way — or be a run's Trace while hanging off
+// internal/obs.Registry via SetTrace for the spans.
 type Collector struct {
 	sampleEvery int64
 	ranks       int
@@ -377,17 +377,10 @@ func walkerKind(k core.WalkerEventKind) (Kind, bool) {
 	return 0, false
 }
 
-// ObserveExchange implements transport.Observer; exchange latency
-// histograms belong to obs.Registry.
-func (c *Collector) ObserveExchange(time.Duration, int, int64) {}
-
-// ObserveFramePayload implements transport.Observer.
-func (c *Collector) ObserveFramePayload(int) {}
-
-// ObserveExchangePeers implements transport.ExchangePeerObserver: one
-// real wall-clock exchange span on the receiving rank's transport track,
-// plus one attribution event per sending peer. The msgs slice is owned
-// by the endpoint — everything needed is aggregated before returning.
+// ObserveExchangePeers implements core.Tracer: one real wall-clock
+// exchange span on the receiving rank's transport track, plus one
+// attribution event per sending peer. The msgs slice is owned by the
+// endpoint — everything needed is aggregated before returning.
 func (c *Collector) ObserveExchangePeers(rank int, d time.Duration, msgs []transport.Message) {
 	end := c.now()
 	dn := d.Nanoseconds()

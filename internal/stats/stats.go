@@ -197,44 +197,6 @@ func (s Snapshot) TrialsPerStep() float64 {
 	return float64(s.Trials) / float64(s.Steps)
 }
 
-// IterationRecord describes one engine superstep, for tail-behavior
-// analysis (Figure 5) and scheduler studies (Figure 9).
-type IterationRecord struct {
-	Iteration     int
-	ActiveWalkers int64
-	Duration      time.Duration
-	LightMode     bool
-}
-
-// IterationLog collects per-superstep records. Safe for concurrent Append.
-type IterationLog struct {
-	mu      sync.Mutex
-	records []IterationRecord
-}
-
-// Append adds a record.
-func (l *IterationLog) Append(r IterationRecord) {
-	l.mu.Lock()
-	l.records = append(l.records, r)
-	l.mu.Unlock()
-}
-
-// Records returns a copy of the collected records in order.
-func (l *IterationLog) Records() []IterationRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]IterationRecord, len(l.records))
-	copy(out, l.records)
-	return out
-}
-
-// Len returns the number of records.
-func (l *IterationLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.records)
-}
-
 // Histogram is a fixed-bucket integer histogram (e.g. walk lengths).
 type Histogram struct {
 	mu      sync.Mutex

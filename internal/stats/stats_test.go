@@ -100,27 +100,6 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 }
 
-func TestIterationLog(t *testing.T) {
-	var l IterationLog
-	for i := 0; i < 5; i++ {
-		l.Append(IterationRecord{Iteration: i, ActiveWalkers: int64(100 - i)})
-	}
-	recs := l.Records()
-	if len(recs) != 5 || l.Len() != 5 {
-		t.Fatalf("got %d records", len(recs))
-	}
-	for i, r := range recs {
-		if r.Iteration != i || r.ActiveWalkers != int64(100-i) {
-			t.Fatalf("record %d = %+v", i, r)
-		}
-	}
-	// Records returns a copy.
-	recs[0].Iteration = 999
-	if l.Records()[0].Iteration == 999 {
-		t.Fatal("Records aliases internal storage")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(10)
 	for _, v := range []int64{0, 1, 1, 5, 9, 50, -3} {

@@ -49,10 +49,12 @@ type Message struct {
 // shares one address space (the in-process group): SendLocal enqueues an
 // arbitrary object for zero-copy delivery at the next Exchange, skipping
 // serialization entirely. Ownership of obj transfers to the receiving
-// rank. Wrapping endpoints (observer, exchange-timeout, fault injection)
+// rank. Wrapping endpoints (exchange-timeout, fault injection)
 // deliberately do not implement it, so a caller's type assertion fails
 // whenever a wrapper intervenes and the caller falls back to byte
 // payloads — which keeps wrapped runs exercising the wire codec.
+// Observation is not a wrapper: the engine reports exchanges to its
+// observer and tracer itself, so attaching them keeps this path.
 type LocalSender interface {
 	// SendLocal buffers obj for delivery to rank `to` at the next
 	// Exchange. Safe for concurrent use. The object must not be mutated
@@ -88,71 +90,6 @@ type Endpoint interface {
 	Stats() (messages, bytes int64)
 	// Close releases resources. After Close, Exchange returns an error.
 	Close() error
-}
-
-// Observer receives transport-level observation points. Implementations
-// must be safe for concurrent use (one endpoint per rank may share an
-// observer) and must not block: the callbacks sit on the exchange path.
-type Observer interface {
-	// ObserveExchange is called once per completed Exchange with its wall
-	// time (wire transfer plus collective barrier wait) and the delivered
-	// message count and payload bytes.
-	ObserveExchange(d time.Duration, messages int, bytes int64)
-	// ObserveFramePayload is called once per delivered message with its
-	// payload size in bytes — the frame-size distribution feeding batching
-	// decisions.
-	ObserveFramePayload(bytes int)
-}
-
-// ExchangePeerObserver is optionally implemented alongside Observer by
-// collectors that want per-peer exchange attribution (who sent this rank
-// how much, per collective round) — the causal-trace layer's view of
-// exchange skew. When the Observer passed to WithObserver also implements
-// it, ObserveExchangePeers is called once per completed Exchange on the
-// receiving rank with the exchange's wall time and the delivered messages.
-// The msgs slice and its payloads remain owned by the endpoint per the
-// payload-ownership contract: the callback must aggregate what it needs
-// (m.From, len(m.Payload)) before returning and must not retain the slice.
-type ExchangePeerObserver interface {
-	ObserveExchangePeers(rank int, d time.Duration, msgs []Message)
-}
-
-// observedEndpoint reports exchange latency and delivered frame sizes to an
-// Observer. It wraps the raw endpoint directly (inside any exchange-timeout
-// guard) so the observed latency is the transport's own, not the guard's.
-type observedEndpoint struct {
-	Endpoint
-	obs   Observer
-	peers ExchangePeerObserver // non-nil when obs wants peer attribution
-}
-
-// WithObserver wraps ep so every Exchange reports its latency and delivered
-// payload sizes to obs. A nil obs returns ep unchanged. Transport-agnostic:
-// works over the in-process group, TCP, and test wrappers alike.
-func WithObserver(ep Endpoint, obs Observer) Endpoint {
-	if obs == nil {
-		return ep
-	}
-	o := &observedEndpoint{Endpoint: ep, obs: obs}
-	o.peers, _ = obs.(ExchangePeerObserver)
-	return o
-}
-
-// Exchange delegates to the wrapped endpoint, observing the outcome.
-func (o *observedEndpoint) Exchange() ([]Message, error) {
-	start := time.Now()
-	msgs, err := o.Endpoint.Exchange()
-	d := time.Since(start)
-	var bytes int64
-	for _, m := range msgs {
-		o.obs.ObserveFramePayload(len(m.Payload))
-		bytes += int64(len(m.Payload))
-	}
-	o.obs.ObserveExchange(d, len(msgs), bytes)
-	if o.peers != nil {
-		o.peers.ObserveExchangePeers(o.Endpoint.Rank(), d, msgs)
-	}
-	return msgs, err
 }
 
 // guardEndpoint bounds the wall-clock time of each Exchange call on any
