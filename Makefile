@@ -34,14 +34,15 @@ bench:
 
 # Short fuzz pass over every fuzz target.
 fuzz:
-	go test -run=Fuzz -fuzz=FuzzReadEdgeList -fuzztime=15s ./internal/graph/
-	go test -run=Fuzz -fuzz=FuzzReadBinary -fuzztime=15s ./internal/graph/
-	go test -run=Fuzz -fuzz=FuzzEdgeListRoundTrip -fuzztime=15s ./internal/graph/
-	go test -run=Fuzz -fuzz=FuzzDecodeWalker -fuzztime=15s ./internal/core/
-	go test -run=Fuzz -fuzz=FuzzReadFrame -fuzztime=15s ./internal/transport/
-	go test -run=Fuzz -fuzz=FuzzReadManifest -fuzztime=15s ./internal/checkpoint/
-	go test -run=Fuzz -fuzz=FuzzRead -fuzztime=15s ./internal/trace/
-	go test -run=Fuzz -fuzz=FuzzApplyDeltas -fuzztime=15s ./internal/dyngraph/
+	go test -run=Fuzz -fuzz='^FuzzReadEdgeList$$' -fuzztime=15s ./internal/graph/
+	go test -run=Fuzz -fuzz='^FuzzReadBinary$$' -fuzztime=15s ./internal/graph/
+	go test -run=Fuzz -fuzz='^FuzzEdgeListRoundTrip$$' -fuzztime=15s ./internal/graph/
+	go test -run=Fuzz -fuzz='^FuzzDecodeWalker$$' -fuzztime=15s ./internal/core/
+	go test -run=Fuzz -fuzz='^FuzzReadFrame$$' -fuzztime=15s ./internal/transport/
+	go test -run=Fuzz -fuzz='^FuzzReadManifest$$' -fuzztime=15s ./internal/checkpoint/
+	go test -run=Fuzz -fuzz='^FuzzRead$$' -fuzztime=15s ./internal/trace/
+	go test -run=Fuzz -fuzz='^FuzzReadBinary$$' -fuzztime=15s ./internal/trace/
+	go test -run=Fuzz -fuzz='^FuzzApplyDeltas$$' -fuzztime=15s ./internal/dyngraph/
 
 # End-to-end smoke tests of the three operator surfaces: the kkwalk admin
 # server, the kkserve walk service, and the kkcoord/kkrank cluster

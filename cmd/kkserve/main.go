@@ -60,7 +60,6 @@ func main() {
 		queue        = flag.Int("queue", 64, "admission queue depth (submissions beyond it get 429)")
 		ckptRoot     = flag.String("checkpoint-root", "", "enable per-job checkpointing under this directory")
 		compactAfter = flag.Int("compact-after", 0, "auto-compact a graph after this many ingested deltas (0 = explicit compaction only)")
-		samplerKind  = flag.String("sampler-kind", "alias", "static sampler maintained across ingest for weighted graphs: alias|its")
 	)
 	flag.Var(&graphs, "graph", "preload a graph: name=path[:binary][:undirected] (repeatable)")
 	flag.Parse()
@@ -71,7 +70,6 @@ func main() {
 		QueueDepth:     *queue,
 		CheckpointRoot: *ckptRoot,
 		CompactAfter:   *compactAfter,
-		SamplerKind:    *samplerKind,
 	})
 
 	for _, spec := range graphs {

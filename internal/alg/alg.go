@@ -125,7 +125,7 @@ func Node2Vec(params Node2VecParams) *core.Algorithm {
 	}
 	invP := 1 / params.P
 	invQ := 1 / params.Q
-	// Envelope over the non-return edges (Pd ∈ {1, 1/Q}); the full bound
+	// Bound over the non-return edges (Pd ∈ {1, 1/Q}); the full bound
 	// additionally covers the return edge (Pd = 1/P).
 	baseBound := math.Max(1, invQ)
 	fullBound := math.Max(baseBound, invP)

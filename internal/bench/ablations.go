@@ -9,6 +9,8 @@ import (
 	"knightking/internal/cluster"
 	"knightking/internal/core"
 	"knightking/internal/gen"
+	"knightking/internal/graph"
+	"knightking/internal/sampling"
 	"knightking/internal/stats"
 	"knightking/internal/transport"
 )
@@ -32,13 +34,22 @@ type AblSamplerRow struct {
 // AblSamplerData measures alias vs ITS on a weighted skewed graph, for a
 // static walk (sampler on the hot path every step) and for biased
 // node2vec (sampler draws rejection candidates). The paper picks alias
-// (O(1) draws, same O(n) build); ITS pays O(log n) per draw.
+// (O(1) draws, same O(n) build); ITS pays O(log n) per draw. The engine
+// itself only builds alias tables, so each row hands it prebuilt tables
+// of its kind through Config.Samplers; the setup column is that table
+// build plus the engine's own set-up.
 func AblSamplerData(o Options) ([]AblSamplerRow, error) {
 	o = o.defaults()
 	g := gen.WithUniformWeights(twitterLike(o, o.Seed), 1, 5, o.Seed+1)
 	length := o.walkLength()
 	var rows []AblSamplerRow
-	for _, kind := range []string{"alias", "its"} {
+	for _, kind := range []struct {
+		name  string
+		build func([]float32) (sampling.StaticSampler, error)
+	}{
+		{"alias", func(w []float32) (sampling.StaticSampler, error) { return sampling.NewAlias(w) }},
+		{"its", func(w []float32) (sampling.StaticSampler, error) { return sampling.NewITS(w) }},
+	} {
 		for _, a := range []struct {
 			name string
 			make func() *core.Algorithm
@@ -51,25 +62,53 @@ func AblSamplerData(o Options) ([]AblSamplerRow, error) {
 				})
 			}},
 		} {
+			start := time.Now()
+			tables, err := buildTables(g, kind.build)
+			if err != nil {
+				return nil, err
+			}
+			build := time.Since(start)
 			res, err := core.Run(core.Config{
-				Graph:       g,
-				Algorithm:   a.make(),
-				NumNodes:    o.Nodes,
-				Seed:        o.Seed,
-				SamplerKind: kind,
+				Graph:     g,
+				Algorithm: a.make(),
+				NumNodes:  o.Nodes,
+				Seed:      o.Seed,
+				Samplers:  tables,
 			})
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, AblSamplerRow{
 				Algorithm: a.name,
-				Kind:      kind,
-				SetupSec:  res.SetupDuration.Seconds(),
+				Kind:      kind.name,
+				SetupSec:  (build + res.SetupDuration).Seconds(),
 				WalkSec:   res.Duration.Seconds(),
 			})
 		}
 	}
 	return rows, nil
+}
+
+// staticTables is a core.SamplerProvider over one prebuilt edge-weight
+// table per vertex (nil for zero-degree vertices).
+type staticTables []sampling.StaticSampler
+
+func (t staticTables) StaticSampler(v graph.VertexID) sampling.StaticSampler { return t[v] }
+
+// buildTables builds every vertex's edge-weight table with build.
+func buildTables(g *graph.Graph, build func([]float32) (sampling.StaticSampler, error)) (staticTables, error) {
+	t := make(staticTables, g.NumVertices())
+	for v := range t {
+		if g.Degree(graph.VertexID(v)) == 0 {
+			continue
+		}
+		s, err := build(g.Weights(graph.VertexID(v)))
+		if err != nil {
+			return nil, err
+		}
+		t[v] = s
+	}
+	return t, nil
 }
 
 // AblSampler prints the sampler ablation.

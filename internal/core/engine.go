@@ -88,17 +88,13 @@ type Config struct {
 	// vertex, start vertices excluded) in Result.Visits — the cheap way to
 	// compute PPR-style stationary estimates without storing paths.
 	CountVisits bool
-	// SamplerKind selects the static sampling structure: "alias" (default,
-	// O(1) per draw) or "its" (CDF + binary search, O(log d) per draw).
-	// Exposed for the ablation in the paper's §3 discussion.
-	SamplerKind string
 	// Samplers, when non-nil, supplies prebuilt per-vertex static sampler
 	// tables — e.g. a dynamic-graph epoch's incrementally maintained ones —
 	// so setup skips the O(E) table build. A provided table is used only
 	// where it applies exactly: the algorithm's static weights must be the
-	// graph's edge weights (Biased with no EdgeStaticComp) and the
-	// provider's kind must match SamplerKind; otherwise, and for vertices
-	// where the provider returns nil, the engine builds locally as always.
+	// graph's edge weights (Biased with no EdgeStaticComp); otherwise, and
+	// for vertices where the provider returns nil, the engine builds an
+	// alias table locally as always.
 	// Tables must have been built from this exact Graph: a degree mismatch
 	// panics rather than silently walking a stale epoch.
 	Samplers SamplerProvider
@@ -184,8 +180,6 @@ type SamplerProvider interface {
 	// StaticSampler returns the weight-proportional table for v, or nil
 	// when the provider has none (the engine then builds locally).
 	StaticSampler(v graph.VertexID) sampling.StaticSampler
-	// StaticKind reports the structure the tables use: "alias" or "its".
-	StaticKind() string
 }
 
 // CheckpointSink stores consistent superstep snapshots. Implementations
@@ -424,11 +418,6 @@ func (cfg *Config) normalize() error {
 	if cfg.PartitionAlpha == 0 {
 		cfg.PartitionAlpha = 1
 	}
-	switch cfg.SamplerKind {
-	case "", "alias", "its":
-	default:
-		return fmt.Errorf("core: unknown SamplerKind %q (want alias or its)", cfg.SamplerKind)
-	}
 	switch cfg.Stepping {
 	case "":
 		cfg.Stepping = SteppingInterleaved
@@ -619,17 +608,11 @@ func (n *node) buildSamplers() {
 		n.boards = make([]sampling.Rejection, count)
 	}
 	// A sampler provider replaces local construction only when its tables
-	// are exactly what the build loop would produce: edge-weight statics
-	// (Biased, no EdgeStaticComp) of the matching structure kind.
+	// sample what the build loop's would: edge-weight statics (Biased, no
+	// EdgeStaticComp).
 	provider := n.cfg.Samplers
-	if provider != nil {
-		kind := n.cfg.SamplerKind
-		if kind == "" {
-			kind = "alias"
-		}
-		if !n.alg.Biased || n.alg.EdgeStaticComp != nil || provider.StaticKind() != kind {
-			provider = nil
-		}
+	if !n.alg.Biased || n.alg.EdgeStaticComp != nil {
+		provider = nil
 	}
 	for i := 0; i < count; i++ {
 		v := n.lo + graph.VertexID(i)
@@ -656,12 +639,7 @@ func (n *node) buildSamplers() {
 				weights[j] = n.alg.staticWeight(n.g, v, j)
 			}
 			var err error
-			if n.cfg.SamplerKind == "its" {
-				s, err = sampling.NewITS(weights)
-			} else {
-				s, err = sampling.NewAlias(weights)
-			}
-			if err != nil {
+			if s, err = sampling.NewAlias(weights); err != nil {
 				panic(fmt.Sprintf("core: vertex %d static weights: %v", v, err))
 			}
 		}

@@ -209,46 +209,6 @@ func TestRestartDeterministicAcrossNodes(t *testing.T) {
 	}
 }
 
-func TestSamplerKindITSMatchesAlias(t *testing.T) {
-	g := gen.WithUniformWeights(gen.UniformDegree(200, 10, 15), 1, 5, 17)
-	freq := func(kind string, seed uint64) map[graph.VertexID]float64 {
-		res, err := Run(Config{
-			Graph:       g,
-			Algorithm:   &Algorithm{Name: "b", Biased: true, MaxSteps: 1},
-			NumWalkers:  40000,
-			StartVertex: func(int64) graph.VertexID { return 0 },
-			Seed:        seed,
-			RecordPaths: true,
-			SamplerKind: kind,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make(map[graph.VertexID]float64)
-		for _, p := range res.Paths {
-			out[p[1]]++
-		}
-		for k := range out {
-			out[k] /= float64(len(res.Paths))
-		}
-		return out
-	}
-	alias := freq("alias", 1)
-	its := freq("its", 2)
-	for v, a := range alias {
-		if math.Abs(a-its[v]) > 0.015 {
-			t.Fatalf("alias and ITS disagree at %d: %v vs %v", v, a, its[v])
-		}
-	}
-}
-
-func TestSamplerKindValidation(t *testing.T) {
-	g := gen.Ring(5, 0)
-	if _, err := Run(Config{Graph: g, Algorithm: staticAlg(1), SamplerKind: "magic"}); err == nil {
-		t.Fatal("bad SamplerKind accepted")
-	}
-}
-
 func TestEngineOverTCPMatchesInProc(t *testing.T) {
 	// The acid test for the transport abstraction: the same walk over real
 	// TCP loopback must produce byte-identical paths.

@@ -8,34 +8,24 @@ import (
 	"knightking/internal/sampling"
 )
 
-// tableProvider is a SamplerProvider over prebuilt tables, with nil
-// holes to exercise the per-vertex fallback.
+// tableProvider is a SamplerProvider over prebuilt alias tables, with
+// nil holes to exercise the per-vertex fallback.
 type tableProvider struct {
-	kind string
 	tabs []sampling.StaticSampler
 }
 
 func (p *tableProvider) StaticSampler(v graph.VertexID) sampling.StaticSampler {
 	return p.tabs[v]
 }
-func (p *tableProvider) StaticKind() string { return p.kind }
 
-func buildProvider(t *testing.T, g *graph.Graph, kind string, skip func(v int) bool) *tableProvider {
+func buildProvider(t *testing.T, g *graph.Graph, skip func(v int) bool) *tableProvider {
 	t.Helper()
-	p := &tableProvider{kind: kind, tabs: make([]sampling.StaticSampler, g.NumVertices())}
+	p := &tableProvider{tabs: make([]sampling.StaticSampler, g.NumVertices())}
 	for v := 0; v < g.NumVertices(); v++ {
 		if g.Degree(graph.VertexID(v)) == 0 || (skip != nil && skip(v)) {
 			continue
 		}
-		var (
-			s   sampling.StaticSampler
-			err error
-		)
-		if kind == "its" {
-			s, err = sampling.NewITS(g.Weights(graph.VertexID(v)))
-		} else {
-			s, err = sampling.NewAlias(g.Weights(graph.VertexID(v)))
-		}
+		s, err := sampling.NewAlias(g.Weights(graph.VertexID(v)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,69 +36,43 @@ func buildProvider(t *testing.T, g *graph.Graph, kind string, skip func(v int) b
 
 // TestProviderMatchesLocalBuild: a run handed prebuilt edge-weight
 // tables is bit-identical to one that builds them itself — including a
-// provider with per-vertex holes — for both sampler kinds and across
-// multiple ranks.
+// provider with per-vertex holes — across multiple ranks.
 func TestProviderMatchesLocalBuild(t *testing.T) {
 	g := gen.WithUniformWeights(gen.UniformDegree(120, 6, 71), 1, 5, 72)
 	algo := func() *Algorithm {
 		return &Algorithm{Name: "wstatic", Biased: true, MaxSteps: 30}
 	}
-	for _, kind := range []string{"", "alias", "its"} {
-		base := Config{
-			Graph: g, Algorithm: algo(), NumWalkers: 200, NumNodes: 2,
-			Seed: 73, RecordPaths: true, SamplerKind: kind,
-		}
-		ref, err := Run(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		effective := kind
-		if effective == "" {
-			effective = "alias"
-		}
-		withProvider := base
-		withProvider.Algorithm = algo()
-		withProvider.Samplers = buildProvider(t, g, effective, nil)
-		got, err := Run(withProvider)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSamePaths(t, ref.Paths, got.Paths)
-
-		holes := base
-		holes.Algorithm = algo()
-		holes.Samplers = buildProvider(t, g, effective, func(v int) bool { return v%3 == 0 })
-		got, err = Run(holes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSamePaths(t, ref.Paths, got.Paths)
+	base := Config{
+		Graph: g, Algorithm: algo(), NumWalkers: 200, NumNodes: 2,
+		Seed: 73, RecordPaths: true,
 	}
-}
-
-// TestProviderIgnoredWhenInapplicable: kind mismatches and algorithms
-// with their own static weights must bypass the provider entirely.
-func TestProviderIgnoredWhenInapplicable(t *testing.T) {
-	g := gen.WithUniformWeights(gen.UniformDegree(60, 5, 77), 1, 5, 78)
-
-	// Kind mismatch: provider built as ITS, engine wants alias. The run
-	// must match the local-build reference, not fail or use the tables.
-	ref, err := Run(Config{
-		Graph: g, Algorithm: &Algorithm{Name: "a", Biased: true, MaxSteps: 10},
-		NumWalkers: 100, Seed: 79, RecordPaths: true,
-	})
+	ref, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(Config{
-		Graph: g, Algorithm: &Algorithm{Name: "a", Biased: true, MaxSteps: 10},
-		NumWalkers: 100, Seed: 79, RecordPaths: true,
-		Samplers: buildProvider(t, g, "its", nil),
-	})
+	withProvider := base
+	withProvider.Algorithm = algo()
+	withProvider.Samplers = buildProvider(t, g, nil)
+	got, err := Run(withProvider)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSamePaths(t, ref.Paths, got.Paths)
+
+	holes := base
+	holes.Algorithm = algo()
+	holes.Samplers = buildProvider(t, g, func(v int) bool { return v%3 == 0 })
+	got, err = Run(holes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSamePaths(t, ref.Paths, got.Paths)
+}
+
+// TestProviderIgnoredWhenInapplicable: algorithms with their own static
+// weights must bypass the provider entirely.
+func TestProviderIgnoredWhenInapplicable(t *testing.T) {
+	g := gen.WithUniformWeights(gen.UniformDegree(60, 5, 77), 1, 5, 78)
 
 	// EdgeStaticComp overrides the static weights: tables built from the
 	// raw edge weights no longer apply and must be ignored.
@@ -123,15 +87,15 @@ func TestProviderIgnoredWhenInapplicable(t *testing.T) {
 			},
 		}
 	}
-	ref, err = Run(Config{
+	ref, err := Run(Config{
 		Graph: g, Algorithm: algWithStatic(), NumWalkers: 100, Seed: 81, RecordPaths: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = Run(Config{
+	got, err := Run(Config{
 		Graph: g, Algorithm: algWithStatic(), NumWalkers: 100, Seed: 81, RecordPaths: true,
-		Samplers: buildProvider(t, g, "alias", nil),
+		Samplers: buildProvider(t, g, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +108,7 @@ func TestProviderIgnoredWhenInapplicable(t *testing.T) {
 // loudly instead of sampling garbage.
 func TestProviderStaleEpochPanics(t *testing.T) {
 	g := gen.WithUniformWeights(gen.UniformDegree(20, 4, 83), 1, 5, 84)
-	p := &tableProvider{kind: "alias", tabs: make([]sampling.StaticSampler, g.NumVertices())}
+	p := &tableProvider{tabs: make([]sampling.StaticSampler, g.NumVertices())}
 	tab, err := sampling.NewAlias([]float32{1, 2}) // wrong size for deg-4 vertices
 	if err != nil {
 		t.Fatal(err)

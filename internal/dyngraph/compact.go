@@ -12,9 +12,8 @@ var testHookMidCompact func()
 
 // Compact folds the overlay into a fresh plain CSR and publishes it as
 // a new epoch. The epoch content is exactly what loading the compacted
-// edge list from scratch would produce — same graph.Fingerprint — and
-// all maintained envelopes become tight again (the lazy-tighten step).
-// A no-op returning the current epoch when there is nothing to fold.
+// edge list from scratch would produce — same graph.Fingerprint. A
+// no-op returning the current epoch when there is nothing to fold.
 //
 // Crash safety: the current epoch pointer is the last thing written, so
 // a failure anywhere in compaction leaves the previous epoch published
@@ -41,7 +40,7 @@ func (d *DynGraph) compactLocked() (*Epoch, error) {
 		for i, v := range d.verts { // the overlay vertex list of prev.view
 			tabs[v] = prev.store.tabs[i]
 		}
-		store = &samplerView{kind: prev.kind, base: tabs}
+		store = &samplerView{base: tabs}
 	}
 
 	if testHookMidCompact != nil {
@@ -54,12 +53,11 @@ func (d *DynGraph) compactLocked() (*Epoch, error) {
 		fpKnown: true,
 		fp:      graph.Fingerprint(newBase),
 		logFP:   mixU64(prev.logFP, markCompact),
-		kind:    prev.kind,
 		store:   store,
 	}
 
 	d.base = newBase
-	d.verts, d.segs, d.envs = nil, nil, nil
+	d.verts, d.segs = nil, nil
 	d.pending = 0
 	d.compactions++
 	d.cur.Store(ep)

@@ -7,16 +7,16 @@
 // the overlay into a fresh plain CSR once it grows past a threshold.
 //
 // The part that makes this cheap is *incremental* sampler maintenance,
-// following the factorization insight of Bingo (PAPERS.md): the static
-// alias/ITS tables and the rejection envelopes Q(v)/L(v) are per-vertex,
-// so an ingested edge only invalidates the structures of its source
-// vertex. Apply rebuilds exactly the touched vertices' tables (O(degree)
-// each) and widens their envelopes in O(1); untouched vertices share
-// their tables with the previous epoch by pointer. Deletions leave the
-// envelope loose-but-valid (rejection sampling stays exact, it just
-// burns extra trials) and compaction tightens everything back.
+// following the factorization insight of Bingo (PAPERS.md): each vertex
+// has exactly one sampling structure, its alias table, so an ingested
+// edge only invalidates the table of its source vertex. Apply rebuilds
+// exactly the touched vertices' tables (O(degree) each); untouched
+// vertices share their tables with the previous epoch by pointer. The
+// rejection bounds Q(v)/L(v) are not maintained at all: the engine reads
+// them from the live weights at set-up, exactly as on a plain CSR.
 //
-// Determinism contract: same epoch + same seed ⇒ bit-identical walks.
+// Determinism contract: same epoch + same seed ⇒ bit-identical walks,
+// and an overlay epoch walks exactly like its Compacted() CSR.
 // The package therefore keeps every structure in sorted slices — no maps
 // anywhere on the apply/compact path — and carries no clocks; timing
 // belongs to the serving layer.
@@ -59,10 +59,6 @@ type Delta struct {
 
 // Options configures a DynGraph.
 type Options struct {
-	// SamplerKind selects the per-vertex static sampler the epochs
-	// prebuild for weighted graphs: "alias" (default) or "its". Must
-	// match the engine's SamplerKind for the prebuilt tables to be used.
-	SamplerKind string
 	// CompactAfter, when positive, auto-compacts after that many applied
 	// deltas have accumulated since the last compaction. Zero disables
 	// auto-compaction (explicit Compact only).
@@ -97,12 +93,10 @@ type DynGraph struct {
 	mu   sync.Mutex
 	base *graph.Graph
 	// Overlay working state, parallel arrays keyed by the sorted vertex
-	// list: verts[i]'s live adjacency is segs[i], its maintained
-	// envelope envs[i]. Flattened into graph.NewOverlay arrays at each
-	// publish.
+	// list: verts[i]'s live adjacency is segs[i]. Flattened into
+	// graph.NewOverlay arrays at each publish.
 	verts []graph.VertexID
 	segs  [][]edgeRec
-	envs  []sampling.Envelope
 
 	pending        int64 // deltas since the last compaction
 	appliedBatches int64
@@ -125,19 +119,12 @@ func New(base *graph.Graph, opt Options) (*DynGraph, error) {
 	if lo, hi := base.OwnedRange(); int(lo) != 0 || int(hi) != base.NumVertices() {
 		return nil, fmt.Errorf("dyngraph: base must be a full graph, not a partition slice")
 	}
-	switch opt.SamplerKind {
-	case "":
-		opt.SamplerKind = "alias"
-	case "alias", "its":
-	default:
-		return nil, fmt.Errorf("dyngraph: unknown sampler kind %q", opt.SamplerKind)
-	}
 	if opt.CompactAfter < 0 {
 		return nil, fmt.Errorf("dyngraph: negative CompactAfter")
 	}
 
 	d := &DynGraph{opt: opt, base: base}
-	store, err := d.baseStore(base)
+	store, err := baseStore(base)
 	if err != nil {
 		return nil, err
 	}
@@ -147,16 +134,15 @@ func New(base *graph.Graph, opt Options) (*DynGraph, error) {
 		fpKnown: true,
 		fp:      fp,
 		logFP:   chainSeed(fp),
-		kind:    opt.SamplerKind,
 		store:   store,
 	})
 	return d, nil
 }
 
-// baseStore prebuilds the per-vertex static sampler table of a plain
-// CSR, or returns nil for unweighted graphs (the engine's uniform
-// sampler is O(1) to build; there is nothing worth caching).
-func (d *DynGraph) baseStore(g *graph.Graph) (*samplerView, error) {
+// baseStore prebuilds the per-vertex alias tables of a plain CSR, or
+// returns nil for unweighted graphs (the engine's uniform sampler is O(1)
+// to build; there is nothing worth caching).
+func baseStore(g *graph.Graph) (*samplerView, error) {
 	if !g.Weighted() {
 		return nil, nil
 	}
@@ -166,20 +152,13 @@ func (d *DynGraph) baseStore(g *graph.Graph) (*samplerView, error) {
 		if g.Degree(graph.VertexID(v)) == 0 {
 			continue
 		}
-		s, err := buildTable(d.opt.SamplerKind, g.Weights(graph.VertexID(v)))
+		s, err := sampling.NewAlias(g.Weights(graph.VertexID(v)))
 		if err != nil {
 			return nil, fmt.Errorf("dyngraph: vertex %d: %w", v, err)
 		}
 		tabs[v] = s
 	}
-	return &samplerView{kind: d.opt.SamplerKind, base: tabs}, nil
-}
-
-func buildTable(kind string, weights []float32) (sampling.StaticSampler, error) {
-	if kind == "its" {
-		return sampling.NewITS(weights)
-	}
-	return sampling.NewAlias(weights)
+	return &samplerView{base: tabs}, nil
 }
 
 // Epoch returns the currently published epoch. The returned value is
@@ -212,12 +191,10 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 	// disturbed.
 	verts := append([]graph.VertexID(nil), d.verts...)
 	segs := append([][]edgeRec(nil), d.segs...)
-	envs := append([]sampling.Envelope(nil), d.envs...)
 	touched := make([]bool, len(verts))
 
 	// ensure returns the working index of v's segment, materializing it
-	// from the base adjacency on first touch (O(degree), with an exact
-	// envelope scan).
+	// from the base adjacency on first touch (O(degree)).
 	ensure := func(v graph.VertexID) int {
 		i := sort.Search(len(verts), func(i int) bool { return verts[i] >= v })
 		if i < len(verts) && verts[i] == v {
@@ -241,19 +218,12 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 				seg[j].t = ts[j]
 			}
 		}
-		env := sampling.ExactEnvelope(ws)
-		if ws == nil { // unweighted: every live weight is 1
-			env = sampling.NewEnvelope(1, 1, len(adj))
-		}
 		verts = append(verts, 0)
 		copy(verts[i+1:], verts[i:])
 		verts[i] = v
 		segs = append(segs, nil)
 		copy(segs[i+1:], segs[i:])
 		segs[i] = seg
-		envs = append(envs, sampling.Envelope{})
-		copy(envs[i+1:], envs[i:])
-		envs[i] = env
 		touched = append(touched, false)
 		copy(touched[i+1:], touched[i:])
 		touched[i] = true
@@ -285,7 +255,6 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 			seg := segs[i]
 			j := sort.Search(len(seg), func(j int) bool { return seg[j].dst >= del.Dst })
 			if j < len(seg) && seg[j].dst == del.Dst {
-				envs[i].Update(float64(seg[j].w), float64(w))
 				seg[j].w = w
 				seg[j].t = del.Type
 			} else {
@@ -293,7 +262,6 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 				copy(seg[j+1:], seg[j:])
 				seg[j] = edgeRec{dst: del.Dst, w: w, t: del.Type}
 				segs[i] = seg
-				envs[i].Insert(float64(w))
 			}
 		case OpDelete:
 			i := ensure(del.Src)
@@ -302,20 +270,19 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 			if j >= len(seg) || seg[j].dst != del.Dst {
 				return nil, fmt.Errorf("dyngraph: delta %d: delete of missing edge %d->%d", k, del.Src, del.Dst)
 			}
-			envs[i].Delete(float64(seg[j].w))
 			segs[i] = append(seg[:j], seg[j+1:]...)
 		default:
 			return nil, fmt.Errorf("dyngraph: delta %d: unknown op %q", k, del.Op)
 		}
 	}
 
-	view, err := flatten(d.base, verts, segs, envs)
+	view, err := flatten(d.base, verts, segs)
 	if err != nil {
 		return nil, err // unreachable if the invariants above hold
 	}
 
 	prev := d.cur.Load()
-	store, err := prev.store.extend(prev.view, verts, segs, touched, d.opt.SamplerKind)
+	store, err := prev.store.extend(prev.view, verts, segs, touched)
 	if err != nil {
 		return nil, err
 	}
@@ -340,11 +307,10 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 		seq:   prev.seq + 1,
 		view:  view,
 		logFP: logFP,
-		kind:  d.opt.SamplerKind,
 		store: store,
 	}
 
-	d.verts, d.segs, d.envs = verts, segs, envs
+	d.verts, d.segs = verts, segs
 	d.pending += int64(len(batch))
 	d.appliedBatches++
 	d.appliedDeltas += int64(len(batch))
@@ -358,7 +324,7 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 
 // flatten materializes the working overlay state into a graph overlay
 // view sharing the base arrays.
-func flatten(base *graph.Graph, verts []graph.VertexID, segs [][]edgeRec, envs []sampling.Envelope) (*graph.Graph, error) {
+func flatten(base *graph.Graph, verts []graph.VertexID, segs [][]edgeRec) (*graph.Graph, error) {
 	total := 0
 	for _, seg := range segs {
 		total += len(seg)
@@ -373,10 +339,6 @@ func flatten(base *graph.Graph, verts []graph.VertexID, segs [][]edgeRec, envs [
 	if base.Typed() {
 		etype = make([]int32, 0, total)
 	}
-	var maxW []float64
-	if base.Weighted() {
-		maxW = make([]float64, len(verts))
-	}
 	for i, seg := range segs {
 		for _, e := range seg {
 			dst = append(dst, e.dst)
@@ -388,11 +350,8 @@ func flatten(base *graph.Graph, verts []graph.VertexID, segs [][]edgeRec, envs [
 			}
 		}
 		offs[i+1] = int64(len(dst))
-		if maxW != nil {
-			maxW[i] = envs[i].Upper()
-		}
 	}
-	return graph.NewOverlay(base, verts, offs, dst, weight, etype, maxW)
+	return graph.NewOverlay(base, verts, offs, dst, weight, etype)
 }
 
 // Metrics returns a consistent snapshot of the counters.

@@ -409,40 +409,33 @@ func TestCrashDuringCompaction(t *testing.T) {
 // TestSamplerTablesMatchRebuilt: the incrementally maintained per-vertex
 // tables are content-identical to tables built from the rebuilt graph's
 // weights — for touched and untouched vertices, before and after
-// compaction, for both sampler kinds.
+// compaction.
 func TestSamplerTablesMatchRebuilt(t *testing.T) {
-	for _, kind := range []string{"alias", "its"} {
-		t.Run(kind, func(t *testing.T) {
-			base := weightedBase(t, 50, 5, 47)
-			d, err := New(base, Options{SamplerKind: kind})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := modelOf(base)
-			r := rand.New(rand.NewSource(53))
-			for round := 0; round < 4; round++ {
-				batch := randomBatch(r, m, 25)
-				if !m.apply(batch) {
-					t.Fatal("model rejected batch")
-				}
-				if _, err := d.Apply(batch); err != nil {
-					t.Fatal(err)
-				}
-				assertTablesMatch(t, d.Epoch(), m.rebuild(), kind)
-			}
-			if _, err := d.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			assertTablesMatch(t, d.Epoch(), m.rebuild(), kind)
-		})
+	base := weightedBase(t, 50, 5, 47)
+	d, err := New(base, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	m := modelOf(base)
+	r := rand.New(rand.NewSource(53))
+	for round := 0; round < 4; round++ {
+		batch := randomBatch(r, m, 25)
+		if !m.apply(batch) {
+			t.Fatal("model rejected batch")
+		}
+		if _, err := d.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+		assertTablesMatch(t, d.Epoch(), m.rebuild())
+	}
+	if _, err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	assertTablesMatch(t, d.Epoch(), m.rebuild())
 }
 
-func assertTablesMatch(t *testing.T, ep *Epoch, want *graph.Graph, kind string) {
+func assertTablesMatch(t *testing.T, ep *Epoch, want *graph.Graph) {
 	t.Helper()
-	if ep.StaticKind() != kind {
-		t.Fatalf("StaticKind = %q, want %q", ep.StaticKind(), kind)
-	}
 	for v := 0; v < want.NumVertices(); v++ {
 		id := graph.VertexID(v)
 		tab := ep.StaticSampler(id)
@@ -493,9 +486,6 @@ func TestNewRejectsBadBases(t *testing.T) {
 		t.Fatal("nil base accepted")
 	}
 	base := weightedBase(t, 10, 3, 61)
-	if _, err := New(base, Options{SamplerKind: "bogus"}); err == nil {
-		t.Fatal("bad sampler kind accepted")
-	}
 	if _, err := New(base, Options{CompactAfter: -1}); err == nil {
 		t.Fatal("negative CompactAfter accepted")
 	}

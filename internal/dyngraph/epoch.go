@@ -10,7 +10,7 @@ import (
 // Epoch is one immutable published snapshot of a dynamic graph: a
 // consistent graph view, the delta-log chain fingerprint (plus the
 // content fingerprint where it is known), and the prebuilt per-vertex
-// static sampler tables. Jobs pin the epoch they admit on and use it for
+// alias tables. Jobs pin the epoch they admit on and use it for
 // their whole life; nothing a writer does later can disturb it.
 //
 // Epoch implements core.SamplerProvider, so the engine samples from the
@@ -25,7 +25,6 @@ type Epoch struct {
 	fp      uint64
 
 	logFP uint64
-	kind  string
 	store *samplerView
 }
 
@@ -53,7 +52,7 @@ func (e *Epoch) DeltaStats() (verts int, edges int64) {
 	return e.view.OverlayStats()
 }
 
-// StaticSampler returns the prebuilt weight-proportional sampler for v,
+// StaticSampler returns the prebuilt alias table for v,
 // or nil when the epoch has none (unweighted graph, or a zero-degree
 // vertex) and the caller should build its own. Implements the engine's
 // SamplerProvider.
@@ -67,18 +66,11 @@ func (e *Epoch) StaticSampler(v graph.VertexID) sampling.StaticSampler {
 	return e.store.base[v]
 }
 
-// StaticKind returns the sampler kind the tables were built with
-// ("alias" or "its"); the engine only uses tables matching its own
-// configured kind.
-func (e *Epoch) StaticKind() string { return e.kind }
-
-// samplerView is an epoch's per-vertex static sampler table: a dense
-// base table (index = vertex) plus tabs, parallel to the epoch view's
+// samplerView is an epoch's per-vertex alias tables: a dense base table (index = vertex) plus tabs, parallel to the epoch view's
 // overlay vertex list, for vertices whose adjacency diverged from the
 // base. Both levels are shared by pointer across epochs; an Apply only
 // allocates tables for the vertices it touched.
 type samplerView struct {
-	kind string
 	base []sampling.StaticSampler
 	tabs []sampling.StaticSampler
 }
@@ -87,12 +79,11 @@ type samplerView struct {
 // state, rebuilding only where touched[i] is set (O(degree) each); every
 // other vertex is overlaid in prev, the view s belongs to, and keeps its
 // table by pointer. nil receiver (unweighted graph) stays nil.
-func (s *samplerView) extend(prev *graph.Graph, verts []graph.VertexID, segs [][]edgeRec, touched []bool, kind string) (*samplerView, error) {
+func (s *samplerView) extend(prev *graph.Graph, verts []graph.VertexID, segs [][]edgeRec, touched []bool) (*samplerView, error) {
 	if s == nil {
 		return nil, nil
 	}
 	out := &samplerView{
-		kind: kind,
 		base: s.base,
 		tabs: make([]sampling.StaticSampler, len(verts)),
 	}
@@ -110,7 +101,7 @@ func (s *samplerView) extend(prev *graph.Graph, verts []graph.VertexID, segs [][
 		for _, e := range seg {
 			weights = append(weights, e.w)
 		}
-		tab, err := buildTable(kind, weights)
+		tab, err := sampling.NewAlias(weights)
 		if err != nil {
 			return nil, fmt.Errorf("dyngraph: rebuild sampler of vertex %d: %w", v, err)
 		}

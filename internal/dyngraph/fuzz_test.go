@@ -11,11 +11,14 @@ import (
 // checks the overlay view against the rebuilt-from-scratch CSR oracle:
 // Apply must never panic, must reject exactly what the naive model
 // rejects, and on success the epoch's compacted view must fingerprint
-// identically to the rebuilt graph while staying structurally valid.
+// identically to the rebuilt graph while staying structurally valid, the
+// view's MaxWeight must be the rebuilt graph's exact maximum at every
+// vertex, and every prebuilt sampler table must hold the rebuilt weights.
 func FuzzApplyDeltas(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x40})
 	f.Add([]byte{0x81, 0x02, 0x01, 0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x00, 0x00})
+	f.Add([]byte{0x81, 0x02, 0x13, 0x00}) // deletes vertex 2's maximum-weight edge
 	f.Fuzz(func(t *testing.T, data []byte) {
 		base := gen.WithUniformWeights(gen.UniformDegree(24, 4, 127), 1, 5, 128)
 		d, err := New(base, Options{CompactAfter: 32})
@@ -42,9 +45,17 @@ func FuzzApplyDeltas(f *testing.F) {
 				if verr := view.Validate(); verr != nil {
 					t.Fatalf("published view invalid: %v", verr)
 				}
-				if graph.Fingerprint(view.Compacted()) != graph.Fingerprint(m.rebuild()) {
+				rebuilt := m.rebuild()
+				if graph.Fingerprint(view.Compacted()) != graph.Fingerprint(rebuilt) {
 					t.Fatalf("overlay view diverged from rebuilt CSR after batch %+v", batch)
 				}
+				for v := 0; v < rebuilt.NumVertices(); v++ {
+					id := graph.VertexID(v)
+					if got, want := view.MaxWeight(id), rebuilt.MaxWeight(id); got != want {
+						t.Fatalf("MaxWeight(%d) = %v, rebuilt CSR says %v, after batch %+v", v, got, want, batch)
+					}
+				}
+				assertTablesMatch(t, ep, rebuilt)
 			} else {
 				// Failed batches must keep the model in sync: rebuild the
 				// model from the current epoch.

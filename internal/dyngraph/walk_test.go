@@ -96,38 +96,42 @@ func TestWalkDeterminismAcrossEpochLifecycle(t *testing.T) {
 	}
 }
 
-// TestFirstOrderOverlayBitIdenticalToRebuilt: for first-order biased
-// walks the overlay epoch and the from-scratch rebuilt CSR have
-// identical sorted weights per vertex, hence identical sampler tables,
-// hence bit-identical walks under the same seed — whether the epoch's
-// prebuilt tables or local construction are used.
-func TestFirstOrderOverlayBitIdenticalToRebuilt(t *testing.T) {
-	base := gen.WithUniformWeights(gen.UniformDegree(60, 5, 101), 1, 5, 102)
-	d, err := New(base, Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestOverlayBitIdenticalToRebuilt: an overlay epoch and the CSR its
+// view compacts to have identical weights per vertex, hence identical
+// alias tables and identical rejection bounds Q(v) and outlier widths,
+// hence bit-identical walks and equal trial counts under the same seed —
+// whether the epoch's prebuilt tables or local construction are used.
+// The epoch's deletes remove touched vertices' maximum-weight edges, so
+// any bound that is not read from the live weights would change the
+// second-order dartboards.
+func TestOverlayBitIdenticalToRebuilt(t *testing.T) {
+	ep, rebuilt := maxDeletedEpoch(t)
+	programs := map[string]func() *core.Algorithm{
+		"deepwalk-biased": func() *core.Algorithm { return alg.DeepWalk(30, true) },
+		"node2vec-biased": func() *core.Algorithm {
+			return alg.Node2Vec(alg.Node2VecParams{
+				P: 0.25, Q: 2, Length: 30, Biased: true, FoldOutlier: true,
+			})
+		},
+		"node2vec-mixed": func() *core.Algorithm {
+			return alg.Node2VecMixed(alg.Node2VecParams{P: 0.25, Q: 2, Length: 30})
+		},
 	}
-	ep, err := d.Apply([]Delta{
-		{Src: 1, Dst: 30, Weight: 7}, {Src: 30, Dst: 1, Weight: 7},
-		{Op: OpDelete, Src: 2, Dst: base.Neighbors(2)[1]},
-		{Src: 2, Dst: 31, Weight: 2.5}, {Src: 31, Dst: 2, Weight: 2.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt := ep.View().Compacted()
-
-	mk := func() *core.Algorithm { return alg.DeepWalk(30, true) }
-	overlayRes := runWalk(t, ep, mk(), 103)
-	plain, err := core.Run(core.Config{
-		Graph: rebuilt, Algorithm: mk(), NumWalkers: 300, NumNodes: 2,
-		Seed: 103, RecordPaths: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePaths(overlayRes.Paths, plain.Paths) {
-		t.Fatal("first-order walks on the overlay epoch diverge from the rebuilt-from-scratch CSR")
+	for name, mk := range programs {
+		overlayRes := runWalk(t, ep, mk(), 211)
+		plain, err := core.Run(core.Config{
+			Graph: rebuilt, Algorithm: mk(), NumWalkers: 300, NumNodes: 2,
+			Seed: 211, RecordPaths: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePaths(overlayRes.Paths, plain.Paths) {
+			t.Errorf("%s: walks on the overlay epoch diverge from the compacted CSR", name)
+		}
+		if got, want := overlayRes.Counters.Trials, plain.Counters.Trials; got != want {
+			t.Errorf("%s: %d rejection trials on the overlay epoch, %d on the compacted CSR", name, got, want)
+		}
 	}
 }
 

@@ -236,20 +236,20 @@ func WithUniformWeights(g *graph.Graph, lo, hi float32, seed uint64) *graph.Grap
 }
 
 // WithPowerLawWeights returns a copy of g with symmetric edge weights
-// following a power-law distribution on [1, maxW]: most edges light, a few
-// heavy. Figure 8 sweeps maxW under both uniform and power-law assignment.
-func WithPowerLawWeights(g *graph.Graph, maxW float32, alpha float64, seed uint64) *graph.Graph {
+// following a power-law distribution on [1, wMax]: most edges light, a few
+// heavy. Figure 8 sweeps wMax under both uniform and power-law assignment.
+func WithPowerLawWeights(g *graph.Graph, wMax float32, alpha float64, seed uint64) *graph.Graph {
 	return reweight(g, func(u, v graph.VertexID) float32 {
 		x := pairUnitFloat(u, v, seed)
-		// Inverse-transform of p(w) ~ w^-alpha on [1, maxW].
+		// Inverse-transform of p(w) ~ w^-alpha on [1, wMax].
 		a := 1 - alpha
-		loP, hiP := 1.0, math.Pow(float64(maxW), a)
+		loP, hiP := 1.0, math.Pow(float64(wMax), a)
 		w := math.Pow(loP+(hiP-loP)*float64(x), 1/a)
 		if w < 1 {
 			w = 1
 		}
-		if w > float64(maxW) {
-			w = float64(maxW)
+		if w > float64(wMax) {
+			w = float64(wMax)
 		}
 		return float32(w)
 	})

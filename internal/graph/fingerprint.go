@@ -66,7 +66,7 @@ func Fingerprint(g *Graph) uint64 {
 	// the exact hash it had before overlays existed, so registry identities
 	// recorded by older builds stay valid. The section covers every overlay
 	// array, so two epochs differ whenever any replaced adjacency, weight,
-	// type, or maintained bound differs.
+	// or type differs.
 	if g.over != nil {
 		o := g.over
 		mix(1)
@@ -95,14 +95,6 @@ func Fingerprint(g *Graph) uint64 {
 			mix(1)
 			for _, t := range o.etype {
 				mix(uint64(uint32(t)))
-			}
-		}
-		if o.maxW == nil {
-			mix(0)
-		} else {
-			mix(1)
-			for _, m := range o.maxW {
-				mix(math.Float64bits(m))
 			}
 		}
 	}

@@ -195,11 +195,10 @@ func (g *Graph) TotalWeight(v VertexID) float64 {
 }
 
 // MaxWeight returns the maximum edge weight at v (1 if unweighted, 0 if v
-// has no out-edges). For an overlay vertex of a weighted epoch view it
-// returns the epoch's maintained bound instead of scanning: never less
-// than the true maximum, but possibly loose after deletions until the
-// next compaction. Envelope consumers (rejection Q(v), outlier widths)
-// stay exact under a loose bound — it only costs extra trials.
+// has no out-edges), scanning v's live weights — its overlay segment on
+// an epoch view — so it is exact on every graph. The rejection set-up
+// hooks (Q(v), outlier widths) are its callers; they already pay O(degree)
+// per vertex.
 //
 //kk:hotpath
 func (g *Graph) MaxWeight(v VertexID) float64 {
@@ -208,11 +207,6 @@ func (g *Graph) MaxWeight(v VertexID) float64 {
 	}
 	if g.weight == nil {
 		return 1
-	}
-	if g.over != nil {
-		if i := g.over.find(v); i >= 0 {
-			return g.over.maxW[i]
-		}
 	}
 	m := float32(0)
 	for _, w := range g.Weights(v) {

@@ -36,14 +36,6 @@ type overlayData struct {
 	weight []float32
 	etype  []int32
 
-	// maxW[i] is a maintained upper bound on the maximum edge weight of
-	// verts[i] — widened on insert, left untightened by deletes, exact
-	// again after compaction. MaxWeight reports it for overlay vertices:
-	// never less than the true maximum, so rejection envelopes built from
-	// it stay valid (a loose bound costs extra trials, never correctness).
-	// nil for unweighted graphs (every weight is 1).
-	maxW []float64
-
 	// edgeDelta is len(dst) minus the base degree sum of verts: the edge
 	// count adjustment NumEdges applies.
 	edgeDelta int64
@@ -70,11 +62,9 @@ func (o *overlayData) find(v VertexID) int {
 // NewOverlay returns a view of base with the adjacency of verts[i]
 // replaced by the i-th segment of the given CSR-style arrays
 // (dst[offs[i]:offs[i+1]], with parallel weight/etype slices when base is
-// weighted/typed). maxW supplies the per-vertex maximum-weight upper
-// bounds for weighted bases (see overlayData.maxW); pass nil for
-// unweighted ones. The returned graph shares every input slice — callers
+// weighted/typed). The returned graph shares every input slice — callers
 // must treat them as frozen from here on.
-func NewOverlay(base *Graph, verts []VertexID, offs []int64, dst []VertexID, weight []float32, etype []int32, maxW []float64) (*Graph, error) {
+func NewOverlay(base *Graph, verts []VertexID, offs []int64, dst []VertexID, weight []float32, etype []int32) (*Graph, error) {
 	if base == nil {
 		return nil, fmt.Errorf("graph: overlay over nil base")
 	}
@@ -103,9 +93,6 @@ func NewOverlay(base *Graph, verts []VertexID, offs []int64, dst []VertexID, wei
 	if etype != nil && len(etype) != len(dst) {
 		return nil, fmt.Errorf("graph: overlay type length %d != dst length %d", len(etype), len(dst))
 	}
-	if base.weight != nil && len(maxW) != len(verts) {
-		return nil, fmt.Errorf("graph: overlay maxW length %d, want %d", len(maxW), len(verts))
-	}
 	if len(verts) >= math.MaxInt32 {
 		return nil, fmt.Errorf("graph: overlay of %d vertices exceeds the slot range", len(verts))
 	}
@@ -122,7 +109,6 @@ func NewOverlay(base *Graph, verts []VertexID, offs []int64, dst []VertexID, wei
 			return nil, fmt.Errorf("graph: overlay offsets not monotone at vertex %d", v)
 		}
 		seg := dst[offs[i]:offs[i+1]]
-		segMax := float64(0)
 		for j, d := range seg {
 			if int(d) >= n {
 				return nil, fmt.Errorf("graph: overlay edge %d->%d out of range (|V|=%d)", v, d, n)
@@ -130,14 +116,6 @@ func NewOverlay(base *Graph, verts []VertexID, offs []int64, dst []VertexID, wei
 			if j > 0 && seg[j-1] > d {
 				return nil, fmt.Errorf("graph: overlay adjacency of %d not sorted", v)
 			}
-			if weight != nil {
-				if w := float64(weight[offs[i]+int64(j)]); w > segMax {
-					segMax = w
-				}
-			}
-		}
-		if maxW != nil && maxW[i] < segMax {
-			return nil, fmt.Errorf("graph: overlay maxW[%d] = %v below actual max %v at vertex %d", i, maxW[i], segMax, v)
 		}
 		baseDeg += base.offsets[v+1] - base.offsets[v]
 		if pages[v>>overlayPageBits] == nil {
@@ -160,7 +138,6 @@ func NewOverlay(base *Graph, verts []VertexID, offs []int64, dst []VertexID, wei
 			dst:       dst,
 			weight:    weight,
 			etype:     etype,
-			maxW:      maxW,
 			edgeDelta: int64(len(dst)) - baseDeg,
 		},
 	}, nil
@@ -194,10 +171,9 @@ func (g *Graph) OverlayStats() (verts int, edgeDelta int64) {
 
 // Compacted materializes an overlay view into a fresh plain CSR graph in
 // O(V+E) — the dynamic-graph compaction step. The result is
-// walk-indistinguishable from the view except that maintained weight
-// bounds are tightened to exact values (MaxWeight scans real weights
-// again). Plain graphs are returned unchanged: they are immutable, so no
-// copy is needed.
+// walk-indistinguishable from the view: every accessor, MaxWeight
+// included, returns the same values. Plain graphs are returned unchanged:
+// they are immutable, so no copy is needed.
 func (g *Graph) Compacted() *Graph {
 	if g.over == nil {
 		return g

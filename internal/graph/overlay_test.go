@@ -28,8 +28,7 @@ func overlayFixture(t *testing.T) (base, over *Graph) {
 	dst := []VertexID{2, 3, 4, 0}
 	weight := []float32{1.0, 2.5, 0.5, 9.0}
 	etype := []int32{0, 1, 2, 0}
-	maxW := []float64{2.5, 9.0}
-	g, err := NewOverlay(base, verts, offs, dst, weight, etype, maxW)
+	g, err := NewOverlay(base, verts, offs, dst, weight, etype)
 	if err != nil {
 		t.Fatalf("NewOverlay: %v", err)
 	}
@@ -117,25 +116,6 @@ func TestOverlayAccessorsMatchRebuilt(t *testing.T) {
 	}
 }
 
-func TestOverlayLooseMaxWeight(t *testing.T) {
-	base, _ := overlayFixture(t)
-	// A maintained bound above the true segment max is legal (post-delete
-	// looseness) and is what MaxWeight reports.
-	g, err := NewOverlay(base, []VertexID{1}, []int64{0, 1}, []VertexID{2},
-		[]float32{1.0}, []int32{0}, []float64{7.5})
-	if err != nil {
-		t.Fatalf("NewOverlay: %v", err)
-	}
-	if got := g.MaxWeight(1); got != 7.5 {
-		t.Fatalf("MaxWeight(1) = %v, want the maintained bound 7.5", got)
-	}
-	// A bound below the true max must be rejected at construction.
-	if _, err := NewOverlay(base, []VertexID{1}, []int64{0, 1}, []VertexID{2},
-		[]float32{3.0}, []int32{0}, []float64{2.0}); err == nil {
-		t.Fatal("NewOverlay accepted maxW below the true segment max")
-	}
-}
-
 func TestOverlayValidation(t *testing.T) {
 	base, _ := overlayFixture(t)
 	unw := NewBuilder(3)
@@ -147,34 +127,34 @@ func TestOverlayValidation(t *testing.T) {
 		build func() (*Graph, error)
 	}{
 		{"nil base", func() (*Graph, error) {
-			return NewOverlay(nil, nil, []int64{0}, nil, nil, nil, nil)
+			return NewOverlay(nil, nil, []int64{0}, nil, nil, nil)
 		}},
 		{"offs length", func() (*Graph, error) {
-			return NewOverlay(base, []VertexID{1}, []int64{0}, nil, nil, nil, []float64{0})
+			return NewOverlay(base, []VertexID{1}, []int64{0}, nil, nil, nil)
 		}},
 		{"missing weights", func() (*Graph, error) {
-			return NewOverlay(base, []VertexID{1}, []int64{0, 1}, []VertexID{2}, nil, []int32{0}, []float64{1})
+			return NewOverlay(base, []VertexID{1}, []int64{0, 1}, []VertexID{2}, nil, []int32{0})
 		}},
 		{"weights on unweighted base", func() (*Graph, error) {
-			return NewOverlay(unweighted, []VertexID{0}, []int64{0, 1}, []VertexID{1}, []float32{1}, nil, nil)
+			return NewOverlay(unweighted, []VertexID{0}, []int64{0, 1}, []VertexID{1}, []float32{1}, nil)
 		}},
 		{"vertex out of range", func() (*Graph, error) {
-			return NewOverlay(base, []VertexID{9}, []int64{0, 0}, nil, []float32{}, []int32{}, []float64{0})
+			return NewOverlay(base, []VertexID{9}, []int64{0, 0}, nil, []float32{}, []int32{})
 		}},
 		{"not strictly increasing", func() (*Graph, error) {
-			return NewOverlay(base, []VertexID{3, 1}, []int64{0, 0, 0}, nil, []float32{}, []int32{}, []float64{0, 0})
+			return NewOverlay(base, []VertexID{3, 1}, []int64{0, 0, 0}, nil, []float32{}, []int32{})
 		}},
 		{"segment not sorted", func() (*Graph, error) {
 			return NewOverlay(base, []VertexID{1}, []int64{0, 2}, []VertexID{3, 2},
-				[]float32{1, 1}, []int32{0, 0}, []float64{1})
+				[]float32{1, 1}, []int32{0, 0})
 		}},
 		{"dst out of range", func() (*Graph, error) {
 			return NewOverlay(base, []VertexID{1}, []int64{0, 1}, []VertexID{99},
-				[]float32{1}, []int32{0}, []float64{1})
+				[]float32{1}, []int32{0})
 		}},
 		{"stacked overlay", func() (*Graph, error) {
 			_, over := overlayFixture(t)
-			return NewOverlay(over, []VertexID{1}, []int64{0, 0}, nil, []float32{}, []int32{}, []float64{0})
+			return NewOverlay(over, []VertexID{1}, []int64{0, 0}, nil, []float32{}, []int32{})
 		}},
 	}
 	for _, tc := range cases {
@@ -212,22 +192,12 @@ func TestOverlayFingerprint(t *testing.T) {
 	}
 	// Distinct overlay contents hash distinctly.
 	g2, err := NewOverlay(base, []VertexID{1}, []int64{0, 1}, []VertexID{2},
-		[]float32{1.0}, []int32{0}, []float64{1.0})
+		[]float32{1.0}, []int32{0})
 	if err != nil {
 		t.Fatalf("NewOverlay: %v", err)
 	}
 	if Fingerprint(g2) == Fingerprint(over) {
 		t.Fatal("different overlays fingerprint identically")
-	}
-	// Only the maintained bound differing must still change the hash (the
-	// bound feeds rejection envelopes, so it is walk-visible).
-	g3, err := NewOverlay(base, []VertexID{1}, []int64{0, 1}, []VertexID{2},
-		[]float32{1.0}, []int32{0}, []float64{5.0})
-	if err != nil {
-		t.Fatalf("NewOverlay: %v", err)
-	}
-	if Fingerprint(g3) == Fingerprint(g2) {
-		t.Fatal("maxW-only difference did not change the fingerprint")
 	}
 }
 
@@ -247,8 +217,8 @@ func TestOverlaySerializationGuards(t *testing.T) {
 // TestOverlayPageTableEquivalence: the page-table lookup resolves every
 // vertex exactly as a graph rebuilt from scratch does — across page
 // boundaries, on a |V| that is not a multiple of the page size, and for
-// an empty overlay — and OverlayIndex and MaxWeight report the overlay
-// slot and its maintained bound.
+// an empty overlay — and OverlayIndex reports the overlay slot, while
+// MaxWeight equals the rebuilt graph's exact maximum.
 func TestOverlayPageTableEquivalence(t *testing.T) {
 	const n = 2*(overlayPageMask+1) + 517 // the last page is partial
 	r := rand.New(rand.NewSource(5))
@@ -277,11 +247,9 @@ func TestOverlayPageTableEquivalence(t *testing.T) {
 		{"random", randomVerts},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Segments of degree 0..6 with distinct sorted destinations, and
-			// maintained bounds deliberately above the segment maxima.
+			// Segments of degree 0..6 with distinct sorted destinations.
 			offs := []int64{0}
 			dst, weight, etype := []VertexID{}, []float32{}, []int32{}
-			maxW := make([]float64, len(tc.verts))
 			slot := make(map[VertexID]int, len(tc.verts))
 			want := NewBuilder(n)
 			for i, v := range tc.verts {
@@ -298,10 +266,8 @@ func TestOverlayPageTableEquivalence(t *testing.T) {
 				for _, d := range ds {
 					w, ty := float32(1+r.Intn(20)), int32(r.Intn(3))
 					dst, weight, etype = append(dst, d), append(weight, w), append(etype, ty)
-					maxW[i] = max(maxW[i], float64(w))
 					want.AddTypedEdge(v, d, w, ty)
 				}
-				maxW[i] += 0.5
 				offs = append(offs, int64(len(dst)))
 			}
 			for v := 0; v < n; v++ {
@@ -314,7 +280,7 @@ func TestOverlayPageTableEquivalence(t *testing.T) {
 				}
 			}
 			rebuilt := want.Build()
-			over, err := NewOverlay(base, tc.verts, offs, dst, weight, etype, maxW)
+			over, err := NewOverlay(base, tc.verts, offs, dst, weight, etype)
 			if err != nil {
 				t.Fatalf("NewOverlay: %v", err)
 			}
@@ -348,14 +314,7 @@ func TestOverlayPageTableEquivalence(t *testing.T) {
 						t.Fatalf("HasEdge(%d,%d) differs from the rebuilt graph", v, u)
 					}
 				}
-				wantMax := base.MaxWeight(id)
-				switch {
-				case deg == 0:
-					wantMax = 0
-				case overlaid:
-					wantMax = maxW[i]
-				}
-				if got := over.MaxWeight(id); got != wantMax {
+				if got, wantMax := over.MaxWeight(id), rebuilt.MaxWeight(id); got != wantMax {
 					t.Fatalf("MaxWeight(%d) = %v, want %v", v, got, wantMax)
 				}
 			}

@@ -44,9 +44,6 @@ type Config struct {
 	// after that many ingested deltas accumulate (0 = explicit
 	// POST /graphs/{name}/compact only).
 	CompactAfter int
-	// SamplerKind selects the per-vertex static sampler maintained for
-	// weighted graphs across ingest: "alias" (default) or "its".
-	SamplerKind string
 }
 
 // Service owns the graph registry, the scheduler, and (after Start) the
@@ -70,10 +67,7 @@ func New(cfg Config) *Service {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	graphs := NewGraphRegistry(dyngraph.Options{
-		SamplerKind:  cfg.SamplerKind,
-		CompactAfter: cfg.CompactAfter,
-	})
+	graphs := NewGraphRegistry(dyngraph.Options{CompactAfter: cfg.CompactAfter})
 	return &Service{
 		Graphs: graphs,
 		cfg:    cfg,
