@@ -25,6 +25,7 @@ import (
 	"os"
 	"time"
 
+	"knightking/internal/alg"
 	"knightking/internal/coord"
 )
 
@@ -33,19 +34,9 @@ func main() {
 		graphPath  = flag.String("graph", "", "input graph file (required; must be readable by every worker)")
 		binary     = flag.Bool("binary", false, "graph file is in binary CSR format (workers load only their slice)")
 		undirected = flag.Bool("undirected", false, "double text edges into both directions")
-		algName    = flag.String("alg", "deepwalk", "algorithm: deepwalk|ppr|rwr|metapath|node2vec")
-		length     = flag.Int("length", 80, "walk length (deepwalk/rwr/metapath/node2vec)")
-		pt         = flag.Float64("pt", 0.0125, "termination probability (ppr)")
-		restart    = flag.Float64("restart", 0.15, "restart probability (rwr)")
-		p          = flag.Float64("p", 2, "node2vec return parameter")
-		q          = flag.Float64("q", 0.5, "node2vec in-out parameter")
-		schemes    = flag.String("schemes", "0", "metapath schemes: comma-separated types, ';'-separated schemes")
-		biased     = flag.Bool("biased", false, "weight-biased static component")
 		walkers    = flag.Int("walkers", 0, "walker count (0 = |V|)")
 		seed       = flag.Uint64("seed", 1, "run seed")
 		workers    = flag.Int("workers", 4, "worker goroutines per rank")
-		stepping   = flag.String("stepping", "", "stepping strategy: interleaved|scalar (empty = engine default)")
-		batch      = flag.Int("batch", 0, "interleaved stepping batch size (0 = default)")
 		netTimeout = flag.Duration("net-timeout", 30*time.Second, "exchange barrier + TCP deadline on the data plane (0 = wait forever)")
 		ckptDir    = flag.String("checkpoint-dir", "", "shared checkpoint directory (enables failover resume)")
 		ckptEvery  = flag.Int("checkpoint-every", 16, "supersteps between checkpoints")
@@ -61,6 +52,8 @@ func main() {
 		tracePath  = flag.String("trace", "", "write the control-plane causal trace (Perfetto JSON) to this file at exit")
 		jsonOut    = flag.Bool("json", false, "print the job summary as one JSON line on stdout")
 	)
+	var spec alg.Spec
+	spec.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if *graphPath == "" {
 		fatalf("-graph is required")
@@ -72,19 +65,10 @@ func main() {
 			GraphPath:       *graphPath,
 			GraphBinary:     *binary,
 			Undirected:      *undirected,
-			Alg:             *algName,
-			Length:          *length,
-			Pt:              *pt,
-			Restart:         *restart,
-			P:               *p,
-			Q:               *q,
-			Schemes:         *schemes,
-			Biased:          *biased,
+			Spec:            spec,
 			Walkers:         *walkers,
 			Seed:            *seed,
 			Workers:         *workers,
-			Stepping:        *stepping,
-			BatchSize:       *batch,
 			NetTimeoutMS:    netTimeout.Milliseconds(),
 			CheckpointDir:   *ckptDir,
 			CheckpointEvery: *ckptEvery,

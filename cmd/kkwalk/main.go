@@ -1,4 +1,4 @@
-// Command kkwalk runs one of the four built-in random walk algorithms on a
+// Command kkwalk runs one of the five built-in random walk algorithms on a
 // graph file (text or binary edge list) over the simulated cluster, and
 // optionally dumps the walk sequences.
 //
@@ -36,8 +36,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"knightking/internal/alg"
@@ -54,18 +52,8 @@ func main() {
 		graphPath  = flag.String("graph", "", "input graph file (required)")
 		binary     = flag.Bool("binary", false, "graph file is in binary CSR format")
 		undirected = flag.Bool("undirected", false, "double text edges into both directions")
-		algName    = flag.String("alg", "deepwalk", "algorithm: deepwalk|ppr|rwr|metapath|node2vec")
-		length     = flag.Int("length", 80, "walk length (deepwalk/rwr/metapath/node2vec)")
-		pt         = flag.Float64("pt", 0.0125, "termination probability (ppr)")
-		restart    = flag.Float64("restart", 0.15, "restart probability (rwr)")
-		p          = flag.Float64("p", 2, "node2vec return parameter")
-		q          = flag.Float64("q", 0.5, "node2vec in-out parameter")
-		schemesArg = flag.String("schemes", "0", "metapath schemes: comma-separated types, ';'-separated schemes")
-		biased     = flag.Bool("biased", false, "weight-biased static component")
 		nodes      = flag.Int("nodes", 4, "simulated cluster nodes")
 		workers    = flag.Int("workers", 4, "worker goroutines per node")
-		stepping   = flag.String("stepping", core.SteppingInterleaved, "stepping strategy: interleaved|scalar (bit-identical output)")
-		batch      = flag.Int("batch", 0, "interleaved stepping batch size (0 = default)")
 		walkers    = flag.Int("walkers", 0, "walker count (0 = |V|)")
 		seed       = flag.Uint64("seed", 1, "run seed")
 		dump       = flag.String("dump", "", "dump walk sequences to this file (- = stdout)")
@@ -82,9 +70,18 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "print the end-of-run report as exactly one JSON line on stdout")
 		quiet      = flag.Bool("quiet", false, "suppress the human-readable summary and progress lines on stderr")
 	)
+	var spec alg.Spec
+	spec.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if *graphPath == "" {
 		fatalf("-graph is required")
+	}
+	program, err := spec.Build()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if *walkers < 0 || *nodes < 0 || *workers < 0 {
+		fatalf("walkers, nodes, workers must be non-negative")
 	}
 	if *jsonOut && (*dump == "-" || *visits == "-" || *tracePath == "-") {
 		fatalf("-json owns stdout; write -dump/-visits/-trace to a file instead of -")
@@ -125,25 +122,10 @@ func main() {
 		fatalf("load graph: %v", err)
 	}
 
-	var program *core.Algorithm
-	switch *algName {
-	case "deepwalk":
-		program = alg.DeepWalk(*length, *biased)
-	case "ppr":
-		program = alg.PPR(*pt, *biased, 0)
-	case "rwr":
-		program = alg.RWR(*restart, *biased, *length)
-	case "metapath":
-		program = alg.MetaPath(parseSchemes(*schemesArg), *length, *biased)
-	case "node2vec":
-		program = alg.Node2Vec(alg.Node2VecParams{
-			P: *p, Q: *q, Length: *length, Biased: *biased,
-			LowerBound: true, FoldOutlier: true,
-		})
-	default:
-		fatalf("unknown -alg %q", *algName)
+	effWalkers := *walkers
+	if effWalkers == 0 {
+		effWalkers = g.NumVertices()
 	}
-
 	lt := 0 // default threshold
 	if *noLight {
 		lt = -1
@@ -159,11 +141,9 @@ func main() {
 		CountVisits:    *visits != "",
 		LightThreshold: lt,
 		NetTimeout:     *netTimeout,
-		Stepping:       *stepping,
-		BatchSize:      *batch,
 	}
 
-	ranks := *nodes
+	ranks := max(*nodes, 1)
 	if reg != nil {
 		cfg.Counters = reg.Counters()
 		cfg.Observer = reg
@@ -223,10 +203,6 @@ func main() {
 		fatalf("-resume requires -checkpoint-dir")
 	}
 	if *ckptDir != "" {
-		effWalkers := *walkers
-		if effWalkers <= 0 {
-			effWalkers = g.NumVertices()
-		}
 		meta := checkpoint.Meta{
 			Seed:        *seed,
 			NumWalkers:  uint64(effWalkers),
@@ -306,10 +282,6 @@ func main() {
 	// worker goroutine finished, so every cross-field ratio in the report is
 	// exact (the Counters doc's consistency contract; mid-run snapshots from
 	// the admin server are only per-field consistent).
-	effWalkers := *walkers
-	if effWalkers <= 0 {
-		effWalkers = g.NumVertices()
-	}
 	rep := stats.NewReport(res.Counters, stats.RunInfo{
 		Algorithm:   program.Name,
 		Vertices:    g.NumVertices(),
@@ -390,32 +362,6 @@ func main() {
 			fatalf("write dump: %v", err)
 		}
 	}
-}
-
-// parseSchemes parses "0,1;2,0,1" into [][]int32{{0,1},{2,0,1}}.
-func parseSchemes(s string) [][]int32 {
-	var schemes [][]int32
-	for _, part := range strings.Split(s, ";") {
-		var scheme []int32
-		for _, tok := range strings.Split(part, ",") {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
-				continue
-			}
-			v, err := strconv.ParseInt(tok, 10, 32)
-			if err != nil {
-				fatalf("bad scheme element %q: %v", tok, err)
-			}
-			scheme = append(scheme, int32(v))
-		}
-		if len(scheme) > 0 {
-			schemes = append(schemes, scheme)
-		}
-	}
-	if len(schemes) == 0 {
-		fatalf("no schemes parsed from %q", s)
-	}
-	return schemes
 }
 
 func fatalf(format string, args ...interface{}) {

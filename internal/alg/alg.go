@@ -6,7 +6,9 @@
 //	MetaPath  — dynamic first-order walk over typed edges
 //	Node2Vec  — dynamic second-order walk (the running example)
 //
-// Each constructor returns a *core.Algorithm ready for core.Run.
+// Each constructor returns a *core.Algorithm ready for core.Run. Spec is
+// the front ends' request for one of these programs (plus RWR): kkwalk,
+// kkcoord and kkserve all build through it.
 package alg
 
 import (

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"knightking/internal/alg"
 )
 
 // writeTestGraph writes a small ring graph and returns its path.
@@ -128,7 +130,7 @@ func (f *fakeWorker) run(addr string) {
 func newTestCoordinator(t *testing.T, ranks int, opt func(*Options)) *Coordinator {
 	t.Helper()
 	opts := Options{
-		Spec:  JobSpec{GraphPath: writeTestGraph(t, 20), Alg: "deepwalk", Length: 5, Seed: 1},
+		Spec:  JobSpec{GraphPath: writeTestGraph(t, 20), Spec: alg.Spec{Alg: "deepwalk", Length: 5}, Seed: 1},
 		Ranks: ranks,
 	}
 	if opt != nil {

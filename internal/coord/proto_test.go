@@ -4,6 +4,8 @@ import (
 	"net"
 	"strings"
 	"testing"
+
+	"knightking/internal/alg"
 )
 
 // pipePair returns two controlConns over an in-memory connection.
@@ -26,7 +28,7 @@ func TestProtoRoundTrip(t *testing.T) {
 			Peers:           []string{"a:1", "b:2", "c:3"},
 			PartitionStarts: []uint32{0, 10, 20, 30},
 			Resume:          true,
-			Spec:            JobSpec{GraphPath: "g.txt", Alg: "deepwalk", Length: 80, Seed: 7},
+			Spec:            JobSpec{GraphPath: "g.txt", Spec: alg.Spec{Alg: "deepwalk", Length: 80}, Seed: 7},
 		},
 	}
 	errc := make(chan error, 1)

@@ -327,7 +327,7 @@ func RunWorker(opts WorkerOptions) error {
 func (w *worker) prepare(at *attempt, logf func(string, ...interface{})) (int, error) {
 	a := at.a
 	spec := &a.Spec
-	program, err := spec.Algorithm()
+	program, err := spec.Build()
 	if err != nil {
 		return 0, err
 	}
@@ -356,8 +356,6 @@ func (w *worker) prepare(at *attempt, logf func(string, ...interface{})) (int, e
 		NumWalkers:  spec.Walkers,
 		Seed:        spec.Seed,
 		RecordPaths: spec.DumpDir != "",
-		Stepping:    spec.Stepping,
-		BatchSize:   spec.BatchSize,
 		NetTimeout:  time.Duration(spec.NetTimeoutMS) * time.Millisecond,
 		Cancel:      at.cancel,
 		Observer:    at,

@@ -2,13 +2,10 @@ package service
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"knightking/internal/alg"
-	"knightking/internal/core"
 	"knightking/internal/dyngraph"
 	"knightking/internal/graph"
 	"knightking/internal/obs/tracelog"
@@ -40,25 +37,9 @@ func (s JobState) Terminal() bool {
 type JobSpec struct {
 	// Graph names a registered graph (required).
 	Graph string `json:"graph"`
-	// Alg is deepwalk|ppr|rwr|metapath|node2vec (required).
-	Alg string `json:"alg"`
-
-	// Length is the walk length for deepwalk/rwr/metapath/node2vec
-	// (default 80).
-	Length int `json:"length,omitempty"`
-	// Pt is ppr's per-step termination probability (default 0.0125).
-	Pt float64 `json:"pt,omitempty"`
-	// Restart is rwr's restart probability (default 0.15).
-	Restart float64 `json:"restart,omitempty"`
-	// P and Q are node2vec's return and in-out parameters (default 1, 1).
-	P float64 `json:"p,omitempty"`
-	Q float64 `json:"q,omitempty"`
-	// Schemes is metapath's scheme list, kkwalk syntax: comma-separated
-	// edge types, ';'-separated schemes (default "0").
-	Schemes string `json:"schemes,omitempty"`
-	// Biased selects the weight-proportional static component (requires a
-	// weighted graph).
-	Biased bool `json:"biased,omitempty"`
+	// Spec is the walk program: alg (required) and its parameters, with
+	// the defaults alg.Spec.Normalize documents.
+	alg.Spec
 
 	// Seed pins the run; identical (graph, alg, params, seed, walkers)
 	// submissions return identical walk statistics.
@@ -87,59 +68,13 @@ type JobSpec struct {
 	TraceSample int64 `json:"trace_sample,omitempty"`
 }
 
-// validAlgs names the supported algorithms in the error message order.
-var validAlgs = []string{"deepwalk", "ppr", "rwr", "metapath", "node2vec"}
-
 // normalize validates spec against the target graph and fills defaults
-// in place. It must reject anything the alg constructors would panic on,
-// so a malformed submission is a 400, never a dead scheduler worker.
+// in place. alg.Spec.Normalize rejects every walk parameter the alg
+// constructors would panic on, so a malformed submission is a 400, never
+// a dead scheduler worker.
 func (s *JobSpec) normalize(g *graph.Graph) error {
-	switch s.Alg {
-	case "deepwalk", "rwr", "metapath", "node2vec":
-		if s.Length == 0 {
-			s.Length = 80
-		}
-		if s.Length < 0 {
-			return fmt.Errorf("length %d must be positive", s.Length)
-		}
-	case "ppr":
-		if s.Pt == 0 {
-			s.Pt = 0.0125
-		}
-		if s.Pt <= 0 || s.Pt >= 1 {
-			return fmt.Errorf("pt %v must be in (0,1)", s.Pt)
-		}
-		if s.Length < 0 {
-			return fmt.Errorf("length %d must be non-negative", s.Length)
-		}
-	default:
-		return fmt.Errorf("unknown alg %q (want one of %s)", s.Alg, strings.Join(validAlgs, "|"))
-	}
-	switch s.Alg {
-	case "rwr":
-		if s.Restart == 0 {
-			s.Restart = 0.15
-		}
-		if s.Restart <= 0 || s.Restart >= 1 {
-			return fmt.Errorf("restart %v must be in (0,1)", s.Restart)
-		}
-	case "node2vec":
-		if s.P == 0 {
-			s.P = 1
-		}
-		if s.Q == 0 {
-			s.Q = 1
-		}
-		if s.P < 0 || s.Q < 0 {
-			return fmt.Errorf("node2vec p=%v q=%v must be positive", s.P, s.Q)
-		}
-	case "metapath":
-		if s.Schemes == "" {
-			s.Schemes = "0"
-		}
-		if _, err := parseSchemes(s.Schemes); err != nil {
-			return err
-		}
+	if err := s.Spec.Normalize(); err != nil {
+		return err
 	}
 	if s.Biased && !g.Weighted() {
 		return fmt.Errorf("biased walk requires a weighted graph")
@@ -160,58 +95,6 @@ func (s *JobSpec) normalize(g *graph.Graph) error {
 		s.Workers = 4
 	}
 	return nil
-}
-
-// algorithm builds the core.Algorithm for a normalized spec.
-func (s *JobSpec) algorithm() (*core.Algorithm, error) {
-	switch s.Alg {
-	case "deepwalk":
-		return alg.DeepWalk(s.Length, s.Biased), nil
-	case "ppr":
-		return alg.PPR(s.Pt, s.Biased, s.Length), nil
-	case "rwr":
-		return alg.RWR(s.Restart, s.Biased, s.Length), nil
-	case "metapath":
-		schemes, err := parseSchemes(s.Schemes)
-		if err != nil {
-			return nil, err
-		}
-		return alg.MetaPath(schemes, s.Length, s.Biased), nil
-	case "node2vec":
-		return alg.Node2Vec(alg.Node2VecParams{
-			P: s.P, Q: s.Q, Length: s.Length, Biased: s.Biased,
-			LowerBound: true, FoldOutlier: true,
-		}), nil
-	}
-	return nil, fmt.Errorf("unknown alg %q", s.Alg)
-}
-
-// parseSchemes parses "0,1;2,0,1" into [][]int32{{0,1},{2,0,1}} — the same
-// syntax kkwalk's -schemes flag accepts, but returning an error instead of
-// exiting.
-func parseSchemes(s string) ([][]int32, error) {
-	var schemes [][]int32
-	for _, part := range strings.Split(s, ";") {
-		var scheme []int32
-		for _, tok := range strings.Split(part, ",") {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
-				continue
-			}
-			v, err := strconv.ParseInt(tok, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("bad scheme element %q", tok)
-			}
-			scheme = append(scheme, int32(v))
-		}
-		if len(scheme) > 0 {
-			schemes = append(schemes, scheme)
-		}
-	}
-	if len(schemes) == 0 {
-		return nil, fmt.Errorf("no schemes parsed from %q", s)
-	}
-	return schemes, nil
 }
 
 // Job is one submitted walk run and its retained outcome. All mutable

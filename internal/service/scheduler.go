@@ -339,7 +339,7 @@ func (s *scheduler) runJob(j *Job) {
 	j.mu.Unlock()
 	s.metrics.queueWaitNs.Observe(wait.Nanoseconds())
 
-	program, err := j.Spec.algorithm()
+	program, err := j.Spec.Build()
 	if err != nil {
 		s.finish(j, nil, err)
 		return

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"knightking/internal/alg"
 	"knightking/internal/gen"
 )
 
@@ -35,7 +36,7 @@ func getRaw(t *testing.T, url string) (int, string, []byte) {
 func TestTracedJobEndToEnd(t *testing.T) {
 	_, ts := testService(t, Config{})
 	spec := JobSpec{
-		Graph: "uni200", Alg: "node2vec", Length: 16, P: 2, Q: 0.5,
+		Graph: "uni200", Spec: alg.Spec{Alg: "node2vec", Length: 16, P: 2, Q: 0.5},
 		Seed: 3, Walkers: 120, Nodes: 2,
 		Trace: true, TraceSample: 8,
 	}
@@ -176,7 +177,7 @@ func TestTraceEndpointStates(t *testing.T) {
 		t.Errorf("unknown job trace: status %d, want 404", code)
 	}
 
-	spec := JobSpec{Graph: "uni200", Alg: "deepwalk", Length: 4, Seed: 1, Walkers: 20}
+	spec := JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "deepwalk", Length: 4}, Seed: 1, Walkers: 20}
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", spec, &st); code != http.StatusAccepted {
 		t.Fatalf("POST /jobs: status %d", code)
@@ -187,7 +188,7 @@ func TestTraceEndpointStates(t *testing.T) {
 		t.Errorf("untraced job trace: status %d body %s", code, body)
 	}
 
-	bad := JobSpec{Graph: "uni200", Alg: "deepwalk", Seed: 1, Trace: true, TraceSample: -1}
+	bad := JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "deepwalk"}, Seed: 1, Trace: true, TraceSample: -1}
 	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", bad, nil); code != http.StatusBadRequest {
 		t.Errorf("negative trace_sample: status %d, want 400", code)
 	}
@@ -197,7 +198,7 @@ func TestTraceEndpointStates(t *testing.T) {
 // queue-wait histogram and the per-state job gauge.
 func TestServeMetricsTraceSatellites(t *testing.T) {
 	_, ts := testService(t, Config{})
-	spec := JobSpec{Graph: "uni200", Alg: "deepwalk", Length: 4, Seed: 9, Walkers: 30}
+	spec := JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "deepwalk", Length: 4}, Seed: 9, Walkers: 30}
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", spec, &st); code != http.StatusAccepted {
 		t.Fatalf("POST /jobs: status %d", code)

@@ -49,13 +49,14 @@ for i in 1 2 3; do
     WORKER_PIDS+=($!)
 done
 
-# Wait until the run is past its first committed checkpoint, then SIGKILL
-# one worker and offer a replacement process.
-for i in $(seq 1 100); do
-    if grep -q 'releasing start barrier' "$DIR/coord.log" 2>/dev/null; then break; fi
-    sleep 0.1
+# Wait until the run is past its first committed checkpoint (a ckpt-*/
+# MANIFEST, which appears only when the checkpoint commits), then SIGKILL one
+# worker and offer a replacement process.
+for i in $(seq 1 1200); do
+    if compgen -G "$DIR/ckpt/ckpt-*/MANIFEST" >/dev/null; then break; fi
+    kill -0 "$COORD_PID" 2>/dev/null || break
+    sleep 0.05
 done
-sleep 1
 kill -9 "${WORKER_PIDS[1]}" 2>/dev/null \
     || { echo "cluster-smoke: run finished before the kill; lengthen the walk" >&2; exit 1; }
 
