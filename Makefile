@@ -43,6 +43,7 @@ fuzz:
 	go test -run=Fuzz -fuzz='^FuzzRead$$' -fuzztime=15s ./internal/trace/
 	go test -run=Fuzz -fuzz='^FuzzReadBinary$$' -fuzztime=15s ./internal/trace/
 	go test -run=Fuzz -fuzz='^FuzzApplyDeltas$$' -fuzztime=15s ./internal/dyngraph/
+	go test -run=Fuzz -fuzz='^FuzzAliasRow$$' -fuzztime=15s ./internal/sampling/
 
 # End-to-end smoke tests of the three operator surfaces: the kkwalk admin
 # server, the kkserve walk service, and the kkcoord/kkrank cluster

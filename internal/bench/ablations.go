@@ -10,6 +10,7 @@ import (
 	"knightking/internal/core"
 	"knightking/internal/gen"
 	"knightking/internal/graph"
+	"knightking/internal/rng"
 	"knightking/internal/sampling"
 	"knightking/internal/stats"
 	"knightking/internal/transport"
@@ -22,93 +23,87 @@ func init() {
 	register("abl-transport", "ablation: in-process exchange vs real TCP loopback", AblTransport)
 }
 
-// AblSamplerRow compares the two static sampling structures for one
-// algorithm.
+// AblSamplerRow times one static sampling structure.
 type AblSamplerRow struct {
-	Algorithm string
 	Kind      string
 	SetupSec  float64
 	WalkSec   float64
+	NsPerStep float64
 }
 
-// AblSamplerData measures alias vs ITS on a weighted skewed graph, for a
-// static walk (sampler on the hot path every step) and for biased
-// node2vec (sampler draws rejection candidates). The paper picks alias
-// (O(1) draws, same O(n) build); ITS pays O(log n) per draw. The engine
-// itself only builds alias tables, so each row hands it prebuilt tables
-// of its kind through Config.Samplers; the setup column is that table
-// build plus the engine's own set-up.
+// AblSamplerData measures alias rows vs per-vertex ITS tables on a
+// weighted skewed graph. The paper picks alias (O(1) draws, same O(n)
+// build); ITS pays O(log n) per draw. The engine only takes alias rows,
+// so both kinds run in one sampling-layer walk loop: one walker per
+// vertex starting there, the same length, each step a draw and a move to
+// the drawn edge's destination. Setup is the table build alone.
 func AblSamplerData(o Options) ([]AblSamplerRow, error) {
 	o = o.defaults()
 	g := gen.WithUniformWeights(twitterLike(o, o.Seed), 1, 5, o.Seed+1)
-	length := o.walkLength()
-	var rows []AblSamplerRow
-	for _, kind := range []struct {
-		name  string
-		build func([]float32) (sampling.StaticSampler, error)
-	}{
-		{"alias", func(w []float32) (sampling.StaticSampler, error) { return sampling.NewAlias(w) }},
-		{"its", func(w []float32) (sampling.StaticSampler, error) { return sampling.NewITS(w) }},
-	} {
-		for _, a := range []struct {
-			name string
-			make func() *core.Algorithm
-		}{
-			{"DeepWalk(biased)", func() *core.Algorithm { return alg.DeepWalk(length, true) }},
-			{"node2vec(biased)", func() *core.Algorithm {
-				return alg.Node2Vec(alg.Node2VecParams{
-					P: 2, Q: 0.5, Length: length, Biased: true,
-					LowerBound: true, FoldOutlier: true,
-				})
-			}},
-		} {
-			start := time.Now()
-			tables, err := buildTables(g, kind.build)
-			if err != nil {
-				return nil, err
-			}
-			build := time.Since(start)
-			res, err := core.Run(core.Config{
-				Graph:     g,
-				Algorithm: a.make(),
-				NumNodes:  o.Nodes,
-				Seed:      o.Seed,
-				Samplers:  tables,
-			})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, AblSamplerRow{
-				Algorithm: a.name,
-				Kind:      kind.name,
-				SetupSec:  (build + res.SetupDuration).Seconds(),
-				WalkSec:   res.Duration.Seconds(),
-			})
+	nv := g.NumVertices()
+
+	start := time.Now()
+	rows := make([][]sampling.AliasEntry, nv)
+	slab := make([]sampling.AliasEntry, g.NumEdges())
+	var scratch sampling.AliasScratch
+	for v := range rows {
+		id := graph.VertexID(v)
+		deg := g.Degree(id)
+		rows[v], slab = slab[:deg:deg], slab[deg:]
+		if deg == 0 {
+			continue
+		}
+		if err := sampling.BuildAliasRow(rows[v], g.Weights(id), g.Neighbors(id), &scratch); err != nil {
+			return nil, err
 		}
 	}
-	return rows, nil
-}
+	aliasSetup := time.Since(start)
 
-// staticTables is a core.SamplerProvider over one prebuilt edge-weight
-// table per vertex (nil for zero-degree vertices).
-type staticTables []sampling.StaticSampler
-
-func (t staticTables) StaticSampler(v graph.VertexID) sampling.StaticSampler { return t[v] }
-
-// buildTables builds every vertex's edge-weight table with build.
-func buildTables(g *graph.Graph, build func([]float32) (sampling.StaticSampler, error)) (staticTables, error) {
-	t := make(staticTables, g.NumVertices())
-	for v := range t {
+	start = time.Now()
+	its := make([]*sampling.ITS, nv)
+	for v := range its {
 		if g.Degree(graph.VertexID(v)) == 0 {
 			continue
 		}
-		s, err := build(g.Weights(graph.VertexID(v)))
-		if err != nil {
+		var err error
+		if its[v], err = sampling.NewITS(g.Weights(graph.VertexID(v))); err != nil {
 			return nil, err
 		}
-		t[v] = s
 	}
-	return t, nil
+	itsSetup := time.Since(start)
+
+	// step returns the next vertex, or false at a dead end.
+	walk := func(kind string, setup time.Duration, step func(v graph.VertexID, r *rng.Rand) (graph.VertexID, bool)) AblSamplerRow {
+		steps, start := 0, time.Now()
+		for id := 0; id < nv; id++ {
+			r := rng.Stream(o.Seed, uint64(id))
+			v, ok := graph.VertexID(id), true
+			for k := 0; k < o.walkLength(); k++ {
+				if v, ok = step(v, &r); !ok {
+					break
+				}
+				steps++
+			}
+		}
+		d := time.Since(start)
+		return AblSamplerRow{Kind: kind, SetupSec: setup.Seconds(), WalkSec: d.Seconds(),
+			NsPerStep: float64(d.Nanoseconds()) / float64(max(steps, 1))}
+	}
+	return []AblSamplerRow{
+		walk("alias", aliasSetup, func(v graph.VertexID, r *rng.Rand) (graph.VertexID, bool) {
+			row := rows[v]
+			if len(row) == 0 {
+				return v, false
+			}
+			return row[sampling.DrawAlias(row, r)].Dst, true
+		}),
+		walk("its", itsSetup, func(v graph.VertexID, r *rng.Rand) (graph.VertexID, bool) {
+			if its[v] == nil {
+				return v, false
+			}
+			return g.Neighbors(v)[its[v].Sample(r)], true
+		}),
+	}, nil
 }
 
 // AblSampler prints the sampler ablation.
@@ -118,9 +113,9 @@ func AblSampler(o Options) error {
 	if err != nil {
 		return err
 	}
-	t := stats.NewTable("algorithm", "sampler", "setup(s)", "walk(s)")
+	t := stats.NewTable("sampler", "setup(s)", "walk(s)", "ns/step")
 	for _, r := range rows {
-		t.AddRow(r.Algorithm, r.Kind, r.SetupSec, r.WalkSec)
+		t.AddRow(r.Kind, r.SetupSec, r.WalkSec, r.NsPerStep)
 	}
 	return t.Write(o.Out)
 }

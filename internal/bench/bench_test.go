@@ -301,12 +301,12 @@ func TestAblSamplerShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 { // 2 kinds × 2 algorithms
-		t.Fatalf("%d rows", len(rows))
+	if len(rows) != 2 || rows[0].Kind != "alias" || rows[1].Kind != "its" {
+		t.Fatalf("rows %+v, want alias then its", rows)
 	}
 	for _, r := range rows {
-		if r.WalkSec <= 0 {
-			t.Fatalf("%s/%s nonpositive walk time", r.Algorithm, r.Kind)
+		if r.SetupSec <= 0 || r.WalkSec <= 0 || r.NsPerStep <= 0 {
+			t.Fatalf("%s: nonpositive timing %+v", r.Kind, r)
 		}
 	}
 }

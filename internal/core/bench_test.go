@@ -120,3 +120,30 @@ func BenchmarkEngineNode2Vec2RanksScaling(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEngineDeepWalkBiased2Ranks runs biased DeepWalk, the static
+// alias-row kernel, on 2 in-process ranks × 1 worker over a 50k-vertex
+// weighted power-law graph (~1.2M edges, tables well past L2) and reports
+// walk time per step, set-up excluded. The other engine benchmarks walk
+// unweighted graphs and never draw from an alias row.
+func BenchmarkEngineDeepWalkBiased2Ranks(b *testing.B) {
+	g := gen.WithPowerLawWeights(gen.TruncatedPowerLaw(50000, 4, 2000, 2.0, 1), 16, 2.0, 1)
+	a := alg.DeepWalk(40, true)
+	var steps int64
+	var walk time.Duration
+	for i := 0; i < b.N; i++ {
+		res, err := core.Run(core.Config{
+			Graph:     g,
+			Algorithm: a,
+			NumNodes:  2,
+			Workers:   1,
+			Seed:      uint64(i + 1),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps += res.Counters.Steps
+		walk += res.Duration
+	}
+	b.ReportMetric(float64(walk.Nanoseconds())/float64(steps), "ns/step")
+}

@@ -88,15 +88,15 @@ type Config struct {
 	// vertex, start vertices excluded) in Result.Visits — the cheap way to
 	// compute PPR-style stationary estimates without storing paths.
 	CountVisits bool
-	// Samplers, when non-nil, supplies prebuilt per-vertex static sampler
-	// tables — e.g. a dynamic-graph epoch's incrementally maintained ones —
-	// so setup skips the O(E) table build. A provided table is used only
-	// where it applies exactly: the algorithm's static weights must be the
-	// graph's edge weights (Biased with no EdgeStaticComp); otherwise, and
-	// for vertices where the provider returns nil, the engine builds an
-	// alias table locally as always.
-	// Tables must have been built from this exact Graph: a degree mismatch
-	// panics rather than silently walking a stale epoch.
+	// Samplers, when non-nil, supplies prebuilt per-vertex alias rows —
+	// e.g. a dynamic-graph epoch's incrementally maintained ones — so setup
+	// skips the O(E) row build. A provided row is used only where it
+	// applies exactly: the algorithm's static weights must be the graph's
+	// edge weights (Biased with no EdgeStaticComp); otherwise, and for
+	// vertices where the provider returns nil, the engine builds the row
+	// locally as always.
+	// Rows must have been built from this exact Graph (Dst is where a walk
+	// goes): a degree mismatch panics rather than walking a stale epoch.
 	Samplers SamplerProvider
 	// Stepping selects the phase-A execution strategy: SteppingInterleaved
 	// (the default) batches walkers and runs each step's gather / move /
@@ -172,14 +172,15 @@ type Config struct {
 	Restore *RestoreState
 }
 
-// SamplerProvider supplies prebuilt per-vertex static sampler tables.
-// internal/dyngraph's Epoch is the production implementation: its tables
+// SamplerProvider supplies prebuilt per-vertex alias rows.
+// internal/dyngraph's Epoch is the production implementation: its rows
 // are maintained incrementally across edge ingest, so handing them to
 // the engine makes per-run setup O(1) per vertex instead of O(degree).
 type SamplerProvider interface {
-	// StaticSampler returns the weight-proportional table for v, or nil
-	// when the provider has none (the engine then builds locally).
-	StaticSampler(v graph.VertexID) sampling.StaticSampler
+	// AliasRow returns v's edge-weight alias row (sampling.BuildAliasRow
+	// over Weights(v) and Neighbors(v)), or nil when the provider has none
+	// (the engine then builds locally).
+	AliasRow(v graph.VertexID) []sampling.AliasEntry
 }
 
 // CheckpointSink stores consistent superstep snapshots. Implementations
@@ -484,13 +485,14 @@ type node struct {
 	counters *stats.Counters
 	res      *Result
 
-	// Per owned vertex (index v-lo): static sampler and rejection
-	// dartboard (dynamic algorithms only). nil for degree-0 vertices.
-	// Both are built once at setup; the dartboards point into the boards
-	// slab (one allocation per node instead of one per vertex).
-	samplers   []sampling.StaticSampler
+	// Per owned vertex (index v-lo), nil for degree-0 vertices: the alias
+	// row (non-uniform static weights only) and the rejection dartboard
+	// (dynamic algorithms only), built at setup into node-level slabs; a
+	// biased dartboard draws from an Alias in aliases laid over the row.
+	rows       [][]sampling.AliasEntry
 	rejections []*sampling.Rejection
 	boards     []sampling.Rejection
+	aliases    []sampling.Alias
 
 	walkers []*Walker
 	// parkedByID maps a walker ID (dense 0..NumWalkers-1) to the walker
@@ -597,65 +599,86 @@ func newNode(rank int, cfg *Config, part *cluster.Partition, ep transport.Endpoi
 	return n, nil
 }
 
-// buildSamplers precomputes the per-vertex static samplers (alias tables
-// for biased walks) and rejection dartboards, the paper's initialization
-// step.
+// buildSamplers precomputes the per-vertex sampling structures and
+// rejection dartboards, the paper's initialization step. It allocates per
+// node, never per vertex: one row slab, one scratch, and the dartboard
+// slabs.
 func (n *node) buildSamplers() {
 	count := int(n.hi - n.lo)
-	n.samplers = make([]sampling.StaticSampler, count)
-	if n.alg.dynamic() {
+	dynamic, uniform := n.alg.dynamic(), n.alg.uniformStatic()
+	if dynamic {
 		n.rejections = make([]*sampling.Rejection, count)
 		n.boards = make([]sampling.Rejection, count)
 	}
-	// A sampler provider replaces local construction only when its tables
-	// sample what the build loop's would: edge-weight statics (Biased, no
-	// EdgeStaticComp).
-	provider := n.cfg.Samplers
-	if !n.alg.Biased || n.alg.EdgeStaticComp != nil {
-		provider = nil
+	var slab []sampling.AliasEntry
+	var computed []float32 // EdgeStaticComp weights, parallel to slab
+	if !uniform {
+		n.rows = make([][]sampling.AliasEntry, count)
+		if dynamic {
+			n.aliases = make([]sampling.Alias, count)
+		}
+		need := 0
+		for i := range n.rows {
+			v := n.lo + graph.VertexID(i)
+			// A provided row replaces local construction only when it
+			// samples what the build loop's would: edge-weight statics.
+			if n.cfg.Samplers != nil && n.alg.EdgeStaticComp == nil {
+				n.rows[i] = n.cfg.Samplers.AliasRow(v)
+			}
+			if deg := n.g.Degree(v); n.rows[i] == nil {
+				need += deg
+			} else if len(n.rows[i]) != deg {
+				panic(fmt.Sprintf("core: provided alias row of vertex %d covers %d edges, degree is %d (stale epoch?)", v, len(n.rows[i]), deg))
+			}
+		}
+		slab = make([]sampling.AliasEntry, need)
+		if n.alg.EdgeStaticComp != nil {
+			computed = make([]float32, need)
+		}
 	}
+	var scratch sampling.AliasScratch
 	for i := 0; i < count; i++ {
 		v := n.lo + graph.VertexID(i)
 		deg := n.g.Degree(v)
 		if deg == 0 {
 			continue
 		}
-		var s sampling.StaticSampler
-		if provider != nil {
-			if pre := provider.StaticSampler(v); pre != nil {
-				if pre.N() != deg {
-					panic(fmt.Sprintf("core: provided sampler of vertex %d covers %d edges, degree is %d (stale epoch?)", v, pre.N(), deg))
+		var weights []float32
+		if !uniform {
+			weights = n.g.Weights(v)
+			if computed != nil {
+				weights, computed = computed[:deg:deg], computed[deg:]
+				for j := range weights {
+					weights[j] = n.alg.EdgeStaticComp(n.g, v, j)
 				}
-				s = pre
+			}
+			if n.rows[i] == nil {
+				n.rows[i], slab = slab[:deg:deg], slab[deg:]
+				if err := sampling.BuildAliasRow(n.rows[i], weights, n.g.Neighbors(v), &scratch); err != nil {
+					panic(fmt.Sprintf("core: vertex %d static weights: %v", v, err))
+				}
 			}
 		}
-		switch {
-		case s != nil: // provided above
-		case n.alg.uniformStatic():
+		if !dynamic {
+			continue
+		}
+		var s sampling.StaticSampler
+		if uniform {
 			s = sampling.SharedUniform(deg)
-		default:
-			weights := make([]float32, deg)
-			for j := 0; j < deg; j++ {
-				weights[j] = n.alg.staticWeight(n.g, v, j)
-			}
-			var err error
-			if s, err = sampling.NewAlias(weights); err != nil {
-				panic(fmt.Sprintf("core: vertex %d static weights: %v", v, err))
-			}
+		} else {
+			n.aliases[i].Init(n.rows[i], weights)
+			s = &n.aliases[i]
 		}
-		n.samplers[i] = s
-		if n.alg.dynamic() {
-			q, l := n.alg.UpperBound(n.g, v), 0.0
-			if n.alg.LowerBound != nil {
-				l = n.alg.LowerBound(n.g, v)
-			}
-			var apps []sampling.Appendix
-			if n.alg.Outliers != nil {
-				apps = n.alg.Outliers(n.g, v)
-			}
-			n.boards[i].Reset(s, q, l, apps)
-			n.rejections[i] = &n.boards[i]
+		q, l := n.alg.UpperBound(n.g, v), 0.0
+		if n.alg.LowerBound != nil {
+			l = n.alg.LowerBound(n.g, v)
 		}
+		var apps []sampling.Appendix
+		if n.alg.Outliers != nil {
+			apps = n.alg.Outliers(n.g, v)
+		}
+		n.boards[i].Reset(s, q, l, apps)
+		n.rejections[i] = &n.boards[i]
 	}
 }
 
@@ -1125,19 +1148,25 @@ func (n *node) stepScalar(ws []*Walker, base, end int, keep []bool, st *workerSt
 			keep[i] = true // parked in an earlier superstep
 			continue
 		}
-		var smp sampling.StaticSampler
-		var rj *sampling.Rejection
-		deg := n.g.Degree(w.Cur)
-		if deg > 0 {
-			vi := w.Cur - n.lo
-			smp = n.samplers[vi]
-			if n.rejections != nil {
-				rj = n.rejections[vi]
-			}
-		}
-		act, edge := n.decideStep(w, deg, smp, rj, st)
-		keep[i] = n.applyAction(w, act, edge, st)
+		deg, row, rj := n.tablesAt(w.Cur)
+		act, dst := n.decideStep(w, deg, row, rj, st)
+		keep[i] = n.applyAction(w, act, dst, st)
 	}
+}
+
+// tablesAt returns what a step at owned vertex v reads before drawing:
+// its degree, its alias row (nil for uniform statics), and its dartboard
+// (nil for static walks and degree-0 vertices). A biased static step
+// takes the degree from the row and never touches the CSR.
+func (n *node) tablesAt(v graph.VertexID) (deg int, row []sampling.AliasEntry, rj *sampling.Rejection) {
+	if n.rejections != nil {
+		rj = n.rejections[v-n.lo]
+	}
+	if n.rows == nil {
+		return n.g.Degree(v), nil, rj
+	}
+	row = n.rows[v-n.lo]
+	return len(row), row, rj
 }
 
 // action is a decided step outcome, applied by applyAction.
@@ -1155,8 +1184,9 @@ const (
 // step consumes happens here, in a fixed per-walker order. Cross-walker
 // ordering is free — each walker draws only from its private stream — which
 // is exactly why scalar and interleaved stepping are bit-identical. The
-// chosen outcome is applied by applyAction, which draws nothing.
-func (n *node) decideStep(w *Walker, deg int, smp sampling.StaticSampler, rj *sampling.Rejection, st *workerState) (action, int) {
+// chosen outcome (for actMove, the destination vertex) is applied by
+// applyAction, which draws nothing.
+func (n *node) decideStep(w *Walker, deg int, row []sampling.AliasEntry, rj *sampling.Rejection, st *workerState) (action, graph.VertexID) {
 	bc := &st.counters
 	if !w.sampling {
 		// Step-boundary termination checks (the Pe component).
@@ -1176,25 +1206,27 @@ func (n *node) decideStep(w *Walker, deg int, smp sampling.StaticSampler, rj *sa
 	}
 
 	if !n.alg.dynamic() {
-		// Static walk: sample directly from the precomputed table; no
+		// Static walk: sample directly from the precomputed row; no
 		// rejection step, no Pd evaluations (paper: "executes its unified
 		// sampling workflow, but without actually performing rejection
-		// sampling").
+		// sampling"). An alias draw reads its destination off the row.
 		bc.trials++
-		idx := smp.Sample(&w.R)
 		n.observeStep(w, 1)
-		return actMove, idx
+		if row == nil {
+			return actMove, n.g.Neighbors(w.Cur)[w.R.Intn(deg)]
+		}
+		return actMove, row[sampling.DrawAlias(row, &w.R)].Dst
 	}
 
 	fallbackAt := n.alg.fallbackTrials()
 	for trials := 0; ; trials++ {
 		if trials >= fallbackAt {
 			if !n.alg.higherOrder() {
-				idx, ok := n.fullScanChoose(w, deg, smp, st, int64(fallbackAt)+1)
+				dst, ok := n.fullScanChoose(w, deg, st, int64(fallbackAt)+1)
 				if !ok {
 					return actFinish, 0
 				}
-				return actMove, idx
+				return actMove, dst
 			}
 			// Remote Pd rules out an exact full scan; check for dead ends
 			// if the algorithm can, otherwise yield and retry next
@@ -1216,17 +1248,17 @@ func (n *node) decideStep(w *Walker, deg int, smp sampling.StaticSampler, rj *sa
 			e := n.g.EdgeAt(w.Cur, idx)
 			pd := n.alg.EdgeDynamicComp(w, e, 0, false)
 			bc.edgeProbEvals++
-			prob := rj.AppendixAcceptProb(p, smp.WeightAt(idx), pd)
+			prob := rj.AppendixAcceptProb(p, float64(n.alg.staticWeight(n.g, w.Cur, idx)), pd)
 			if w.R.Bernoulli(prob) {
 				n.observeStep(w, int64(trials)+1)
-				return actMove, idx
+				return actMove, e.Dst
 			}
 			continue
 		}
 		if p.PreAccepted {
 			bc.preAccepts++
 			n.observeStep(w, int64(trials)+1)
-			return actMove, p.EdgeIdx
+			return actMove, n.g.Neighbors(w.Cur)[p.EdgeIdx]
 		}
 		e := n.g.EdgeAt(w.Cur, p.EdgeIdx)
 		if n.alg.higherOrder() {
@@ -1243,7 +1275,7 @@ func (n *node) decideStep(w *Walker, deg int, smp sampling.StaticSampler, rj *sa
 		bc.edgeProbEvals++
 		if rj.AcceptMain(p, pd) {
 			n.observeStep(w, int64(trials)+1)
-			return actMove, p.EdgeIdx
+			return actMove, e.Dst
 		}
 	}
 }
@@ -1252,7 +1284,7 @@ func (n *node) decideStep(w *Walker, deg int, smp sampling.StaticSampler, rj *sa
 // recording, relocation, message emission — and reports whether w stays in
 // this node's walker list. It never touches walker RNG, so the batch
 // pipeline is free to run it after all of a batch's decisions.
-func (n *node) applyAction(w *Walker, act action, edgeIdx int, st *workerState) bool {
+func (n *node) applyAction(w *Walker, act action, dst graph.VertexID, st *workerState) bool {
 	switch act {
 	case actYield:
 		if n.tracer != nil {
@@ -1266,7 +1298,6 @@ func (n *node) applyAction(w *Walker, act action, edgeIdx int, st *workerState) 
 		n.finish(w, st)
 		return false
 	case actMove:
-		dst := n.g.Neighbors(w.Cur)[edgeIdx]
 		st.counters.steps++
 		return n.relocate(w, dst, st)
 	case actTeleport:
@@ -1305,10 +1336,11 @@ func (n *node) observeStep(w *Walker, trials int64) {
 // fullScanChoose is the exact O(deg) step used after FallbackTrials
 // consecutive rejections: evaluate Pd for every edge and sample the
 // product distribution directly, using the worker's scratch buffers so the
-// steady state allocates nothing. ok=false means no edge has positive
-// probability (the paper's "no out edges ... are eligible"). trials is the
-// dart count attributed to the completed step.
-func (n *node) fullScanChoose(w *Walker, deg int, smp sampling.StaticSampler, st *workerState, trials int64) (int, bool) {
+// steady state allocates nothing. It returns the chosen edge's
+// destination; ok=false means no edge has positive probability (the
+// paper's "no out edges ... are eligible"). trials is the dart count
+// attributed to the completed step.
+func (n *node) fullScanChoose(w *Walker, deg int, st *workerState, trials int64) (graph.VertexID, bool) {
 	bc := &st.counters
 	if cap(st.scanWeights) < deg {
 		st.scanWeights = make([]float64, deg) //kk:alloc-ok amortized: scan scratch grows to the max degree seen, then is reused
@@ -1319,7 +1351,7 @@ func (n *node) fullScanChoose(w *Walker, deg int, smp sampling.StaticSampler, st
 		e := n.g.EdgeAt(w.Cur, i)
 		pd := n.alg.EdgeDynamicComp(w, e, 0, false)
 		bc.edgeProbEvals++
-		weights[i] = smp.WeightAt(i) * pd
+		weights[i] = float64(n.alg.staticWeight(n.g, w.Cur, i)) * pd
 		total += weights[i]
 	}
 	if total <= 0 {
@@ -1330,7 +1362,7 @@ func (n *node) fullScanChoose(w *Walker, deg int, smp sampling.StaticSampler, st
 	}
 	bc.trials++
 	n.observeStep(w, trials)
-	return st.scanITS.Sample(&w.R), true
+	return n.g.Neighbors(w.Cur)[st.scanITS.Sample(&w.R)], true
 }
 
 // relocate places w at dst, updating state, visit counts, and path, and
@@ -1558,7 +1590,7 @@ func (n *node) applyResponses(payload []byte, st *workerState) error {
 			// current vertex for the next iteration".
 			if n.rejectionOf(w.Cur).AcceptMain(sampling.Proposal{EdgeIdx: int(w.pendingEdge), Appendix: -1, Y: w.pendingY}, pd) {
 				n.observeStep(w, 1)
-				n.applyAction(w, actMove, int(w.pendingEdge), st)
+				n.applyAction(w, actMove, es[j].Dst, st)
 			}
 		}
 		if err != nil {

@@ -4,7 +4,7 @@ package core
 // phase A claims walker batches and executes each step as three stages run
 // stage-at-a-time across the batch —
 //
-//	gather: load each walker's degree, sampler table, and rejection
+//	gather: load each walker's degree, alias row, and rejection
 //	        dartboard (pure loads, no RNG);
 //	move:   run the step decision, consuming each walker's private RNG
 //	        stream (decideStep, shared with scalar stepping);
@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"knightking/internal/graph"
 	"knightking/internal/sampling"
 	"knightking/internal/stats"
 )
@@ -174,23 +175,23 @@ type batchState struct {
 	w    []*Walker
 	slot []int32
 	deg  []int32
-	smp  []sampling.StaticSampler
+	row  [][]sampling.AliasEntry
 	rej  []*sampling.Rejection
 	act  []action
-	edge []int32
+	dst  []graph.VertexID
 }
 
 func (b *batchState) grow(k int) {
 	if cap(b.w) >= k {
 		return
 	}
-	b.w = make([]*Walker, k)                  //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
-	b.slot = make([]int32, k)                 //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
-	b.deg = make([]int32, k)                  //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
-	b.smp = make([]sampling.StaticSampler, k) //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
-	b.rej = make([]*sampling.Rejection, k)    //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
-	b.act = make([]action, k)                 //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
-	b.edge = make([]int32, k)
+	b.w = make([]*Walker, k)                 //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
+	b.slot = make([]int32, k)                //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
+	b.deg = make([]int32, k)                 //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
+	b.row = make([][]sampling.AliasEntry, k) //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
+	b.rej = make([]*sampling.Rejection, k)   //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
+	b.act = make([]action, k)                //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
+	b.dst = make([]graph.VertexID, k)
 }
 
 // stepBatch advances walkers [base, end) through one step, stage-at-a-time
@@ -207,8 +208,7 @@ func (n *node) stepBatch(ws []*Walker, base, end int, keep []bool, st *workerSta
 		t0 = time.Now() //kk:nondet-ok telemetry-only stage timing; never feeds walk state
 	}
 
-	// Gather: collect each ready walker's degree, sampler, and dartboard.
-	dynamic := n.rejections != nil
+	// Gather: collect each ready walker's degree, alias row, and dartboard.
 	m := 0
 	for i := base; i < end; i++ {
 		w := ws[i]
@@ -218,19 +218,8 @@ func (n *node) stepBatch(ws []*Walker, base, end int, keep []bool, st *workerSta
 		}
 		b.w[m] = w
 		b.slot[m] = int32(i)
-		deg := n.g.Degree(w.Cur)
-		b.deg[m] = int32(deg)
-		if deg > 0 {
-			vi := w.Cur - n.lo
-			b.smp[m] = n.samplers[vi]
-			if dynamic {
-				b.rej[m] = n.rejections[vi]
-			} else {
-				b.rej[m] = nil
-			}
-		} else {
-			b.smp[m], b.rej[m] = nil, nil
-		}
+		deg, row, rj := n.tablesAt(w.Cur)
+		b.deg[m], b.row[m], b.rej[m] = int32(deg), row, rj
 		m++
 	}
 	if timed {
@@ -242,9 +231,7 @@ func (n *node) stepBatch(ws []*Walker, base, end int, keep []bool, st *workerSta
 	// Move: run the decisions, consuming each walker's private stream in
 	// the same order the scalar loop would.
 	for j := 0; j < m; j++ {
-		act, edge := n.decideStep(b.w[j], int(b.deg[j]), b.smp[j], b.rej[j], st)
-		b.act[j] = act
-		b.edge[j] = int32(edge)
+		b.act[j], b.dst[j] = n.decideStep(b.w[j], int(b.deg[j]), b.row[j], b.rej[j], st)
 	}
 	if timed {
 		t1 := time.Now() //kk:nondet-ok telemetry-only stage timing; never feeds walk state
@@ -254,7 +241,7 @@ func (n *node) stepBatch(ws []*Walker, base, end int, keep []bool, st *workerSta
 
 	// Update: apply the decided outcomes and mark survivors.
 	for j := 0; j < m; j++ {
-		keep[b.slot[j]] = n.applyAction(b.w[j], b.act[j], int(b.edge[j]), st)
+		keep[b.slot[j]] = n.applyAction(b.w[j], b.act[j], b.dst[j], st)
 	}
 	if timed {
 		st.updateNs += time.Since(t0).Nanoseconds() //kk:nondet-ok telemetry-only stage timing; never feeds walk state

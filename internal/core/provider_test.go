@@ -8,28 +8,28 @@ import (
 	"knightking/internal/sampling"
 )
 
-// tableProvider is a SamplerProvider over prebuilt alias tables, with
+// tableProvider is a SamplerProvider over prebuilt alias rows, with
 // nil holes to exercise the per-vertex fallback.
 type tableProvider struct {
-	tabs []sampling.StaticSampler
+	tabs [][]sampling.AliasEntry
 }
 
-func (p *tableProvider) StaticSampler(v graph.VertexID) sampling.StaticSampler {
+func (p *tableProvider) AliasRow(v graph.VertexID) []sampling.AliasEntry {
 	return p.tabs[v]
 }
 
 func buildProvider(t *testing.T, g *graph.Graph, skip func(v int) bool) *tableProvider {
 	t.Helper()
-	p := &tableProvider{tabs: make([]sampling.StaticSampler, g.NumVertices())}
+	p := &tableProvider{tabs: make([][]sampling.AliasEntry, g.NumVertices())}
 	for v := 0; v < g.NumVertices(); v++ {
-		if g.Degree(graph.VertexID(v)) == 0 || (skip != nil && skip(v)) {
+		id := graph.VertexID(v)
+		if g.Degree(id) == 0 || (skip != nil && skip(v)) {
 			continue
 		}
-		s, err := sampling.NewAlias(g.Weights(graph.VertexID(v)))
-		if err != nil {
+		p.tabs[v] = make([]sampling.AliasEntry, g.Degree(id))
+		if err := sampling.BuildAliasRow(p.tabs[v], g.Weights(id), g.Neighbors(id), new(sampling.AliasScratch)); err != nil {
 			t.Fatal(err)
 		}
-		p.tabs[v] = s
 	}
 	return p
 }
@@ -108,12 +108,11 @@ func TestProviderIgnoredWhenInapplicable(t *testing.T) {
 // loudly instead of sampling garbage.
 func TestProviderStaleEpochPanics(t *testing.T) {
 	g := gen.WithUniformWeights(gen.UniformDegree(20, 4, 83), 1, 5, 84)
-	p := &tableProvider{tabs: make([]sampling.StaticSampler, g.NumVertices())}
-	tab, err := sampling.NewAlias([]float32{1, 2}) // wrong size for deg-4 vertices
-	if err != nil {
+	p := &tableProvider{tabs: make([][]sampling.AliasEntry, g.NumVertices())}
+	p.tabs[0] = make([]sampling.AliasEntry, 2) // wrong size for deg-4 vertices
+	if err := sampling.BuildAliasRow(p.tabs[0], []float32{1, 2}, nil, new(sampling.AliasScratch)); err != nil {
 		t.Fatal(err)
 	}
-	p.tabs[0] = tab
 	defer func() {
 		if recover() == nil {
 			t.Fatal("stale provider table did not panic")

@@ -31,16 +31,16 @@ func (d *DynGraph) compactLocked() (*Epoch, error) {
 	}
 	newBase := prev.view.Compacted()
 
-	// Fold the sampler store: a compacted vertex's weights are exactly
-	// its overlay segment's weights, so the overlay tables move into the
-	// dense base table by pointer — no rebuild, still O(touched).
+	// Fold the sampler store: a compacted vertex's edges are exactly its
+	// overlay segment's, so the overlay rows move into the dense base
+	// table as headers — no rebuild; O(V) header copy plus O(touched).
 	var store *samplerView
 	if prev.store != nil {
-		tabs := append([]sampling.StaticSampler(nil), prev.store.base...)
+		rows := append([][]sampling.AliasEntry(nil), prev.store.base...)
 		for i, v := range d.verts { // the overlay vertex list of prev.view
-			tabs[v] = prev.store.tabs[i]
+			rows[v] = prev.store.tabs[i]
 		}
-		store = &samplerView{base: tabs}
+		store = &samplerView{base: rows}
 	}
 
 	if testHookMidCompact != nil {

@@ -8,10 +8,10 @@
 //
 // The part that makes this cheap is *incremental* sampler maintenance,
 // following the factorization insight of Bingo (PAPERS.md): each vertex
-// has exactly one sampling structure, its alias table, so an ingested
-// edge only invalidates the table of its source vertex. Apply rebuilds
-// exactly the touched vertices' tables (O(degree) each); untouched
-// vertices share their tables with the previous epoch by pointer. The
+// has exactly one sampling structure, its alias row, so an ingested
+// edge only invalidates the row of its source vertex. Apply rebuilds
+// exactly the touched vertices' rows (O(degree) each); untouched
+// vertices share their rows with the previous epoch. The
 // rejection bounds Q(v)/L(v) are not maintained at all: the engine reads
 // them from the live weights at set-up, exactly as on a plain CSR.
 //
@@ -108,7 +108,7 @@ type DynGraph struct {
 
 // New wraps base (which must be a full, plain CSR) as a dynamic graph
 // and publishes epoch 0: the base itself, fingerprinted, with its
-// static sampler tables prebuilt when the base is weighted.
+// alias rows prebuilt when the base is weighted.
 func New(base *graph.Graph, opt Options) (*DynGraph, error) {
 	if base == nil {
 		return nil, fmt.Errorf("dyngraph: nil base")
@@ -139,26 +139,28 @@ func New(base *graph.Graph, opt Options) (*DynGraph, error) {
 	return d, nil
 }
 
-// baseStore prebuilds the per-vertex alias tables of a plain CSR, or
-// returns nil for unweighted graphs (the engine's uniform sampler is O(1)
-// to build; there is nothing worth caching).
+// baseStore prebuilds the per-vertex alias rows of a plain CSR in one
+// slab, or returns nil for unweighted graphs (the engine's uniform draw
+// needs no table; there is nothing worth caching).
 func baseStore(g *graph.Graph) (*samplerView, error) {
 	if !g.Weighted() {
 		return nil, nil
 	}
-	n := g.NumVertices()
-	tabs := make([]sampling.StaticSampler, n)
-	for v := 0; v < n; v++ {
-		if g.Degree(graph.VertexID(v)) == 0 {
+	rows := make([][]sampling.AliasEntry, g.NumVertices())
+	slab := make([]sampling.AliasEntry, g.NumEdges())
+	var scratch sampling.AliasScratch
+	for v := range rows {
+		id := graph.VertexID(v)
+		deg := g.Degree(id)
+		if deg == 0 {
 			continue
 		}
-		s, err := sampling.NewAlias(g.Weights(graph.VertexID(v)))
-		if err != nil {
+		rows[v], slab = slab[:deg:deg], slab[deg:]
+		if err := sampling.BuildAliasRow(rows[v], g.Weights(id), g.Neighbors(id), &scratch); err != nil {
 			return nil, fmt.Errorf("dyngraph: vertex %d: %w", v, err)
 		}
-		tabs[v] = s
 	}
-	return &samplerView{base: tabs}, nil
+	return &samplerView{base: rows}, nil
 }
 
 // Epoch returns the currently published epoch. The returned value is
@@ -172,7 +174,7 @@ func (d *DynGraph) Epoch() *Epoch {
 // whole batch lands and a new epoch is published, or the graph is
 // unchanged and an error describes the first offending delta. Sampler
 // maintenance is incremental — only vertices named as a Src in the batch
-// get their tables rebuilt; everything else is shared by pointer with
+// get their rows rebuilt; everything else is shared with
 // the previous epoch.
 func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 	if len(batch) == 0 {
@@ -282,7 +284,7 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 	}
 
 	prev := d.cur.Load()
-	store, err := prev.store.extend(prev.view, verts, segs, touched)
+	store, err := prev.store.extend(prev.view, view, verts, touched)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"knightking/internal/gen"
 	"knightking/internal/graph"
+	"knightking/internal/sampling"
 )
 
 // model is the correctness oracle: a naive mutable edge set rebuilt from
@@ -407,9 +408,8 @@ func TestCrashDuringCompaction(t *testing.T) {
 }
 
 // TestSamplerTablesMatchRebuilt: the incrementally maintained per-vertex
-// tables are content-identical to tables built from the rebuilt graph's
-// weights — for touched and untouched vertices, before and after
-// compaction.
+// alias rows are identical to rows built from the rebuilt graph — for
+// touched and untouched vertices, before and after compaction.
 func TestSamplerTablesMatchRebuilt(t *testing.T) {
 	base := weightedBase(t, 50, 5, 47)
 	d, err := New(base, Options{})
@@ -434,49 +434,51 @@ func TestSamplerTablesMatchRebuilt(t *testing.T) {
 	assertTablesMatch(t, d.Epoch(), m.rebuild())
 }
 
+// assertTablesMatch checks every alias row of ep against the row built
+// from want's weights and destinations: same length, and the same
+// threshold, alias and Dst in every entry.
 func assertTablesMatch(t *testing.T, ep *Epoch, want *graph.Graph) {
 	t.Helper()
 	for v := 0; v < want.NumVertices(); v++ {
 		id := graph.VertexID(v)
-		tab := ep.StaticSampler(id)
+		row := ep.AliasRow(id)
 		deg := want.Degree(id)
 		if deg == 0 {
-			if tab != nil {
-				t.Fatalf("vertex %d: table for a zero-degree vertex", v)
+			if row != nil {
+				t.Fatalf("vertex %d: row for a zero-degree vertex", v)
 			}
 			continue
 		}
-		if tab == nil {
-			t.Fatalf("vertex %d: missing table (deg %d)", v, deg)
+		if len(row) != deg {
+			t.Fatalf("vertex %d: row over %d items, degree %d", v, len(row), deg)
 		}
-		if tab.N() != deg {
-			t.Fatalf("vertex %d: table over %d items, degree %d", v, tab.N(), deg)
+		ref := make([]sampling.AliasEntry, deg)
+		if err := sampling.BuildAliasRow(ref, want.Weights(id), want.Neighbors(id), new(sampling.AliasScratch)); err != nil {
+			t.Fatal(err)
 		}
-		ws := want.Weights(id)
-		for i := 0; i < deg; i++ {
-			if tab.WeightAt(i) != float64(ws[i]) {
-				t.Fatalf("vertex %d item %d: table weight %v, rebuilt weight %v",
-					v, i, tab.WeightAt(i), ws[i])
+		for i := range ref {
+			if row[i] != ref[i] {
+				t.Fatalf("vertex %d entry %d: row %+v, rebuilt %+v", v, i, row[i], ref[i])
 			}
 		}
 	}
 }
 
-// TestUnweightedHasNoStore: unweighted graphs carry no prebuilt tables
-// (the engine's uniform sampler is cheaper than any lookup).
+// TestUnweightedHasNoStore: unweighted graphs carry no prebuilt rows
+// (the engine's uniform draw is cheaper than any lookup).
 func TestUnweightedHasNoStore(t *testing.T) {
 	d, err := New(gen.UniformDegree(20, 4, 59), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Epoch().StaticSampler(0) != nil {
-		t.Fatal("unweighted epoch returned a static sampler")
+	if d.Epoch().AliasRow(0) != nil {
+		t.Fatal("unweighted epoch returned an alias row")
 	}
 	if _, err := d.Apply([]Delta{{Src: 0, Dst: 9}}); err != nil {
 		t.Fatal(err)
 	}
-	if d.Epoch().StaticSampler(0) != nil {
-		t.Fatal("unweighted epoch returned a static sampler after ingest")
+	if d.Epoch().AliasRow(0) != nil {
+		t.Fatal("unweighted epoch returned an alias row after ingest")
 	}
 }
 

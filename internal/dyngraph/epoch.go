@@ -10,11 +10,11 @@ import (
 // Epoch is one immutable published snapshot of a dynamic graph: a
 // consistent graph view, the delta-log chain fingerprint (plus the
 // content fingerprint where it is known), and the prebuilt per-vertex
-// alias tables. Jobs pin the epoch they admit on and use it for
+// alias rows. Jobs pin the epoch they admit on and use it for
 // their whole life; nothing a writer does later can disturb it.
 //
 // Epoch implements core.SamplerProvider, so the engine samples from the
-// incrementally maintained tables instead of rebuilding them per run.
+// incrementally maintained rows instead of rebuilding them per run.
 type Epoch struct {
 	seq  uint64
 	view *graph.Graph
@@ -52,11 +52,10 @@ func (e *Epoch) DeltaStats() (verts int, edges int64) {
 	return e.view.OverlayStats()
 }
 
-// StaticSampler returns the prebuilt alias table for v,
-// or nil when the epoch has none (unweighted graph, or a zero-degree
-// vertex) and the caller should build its own. Implements the engine's
-// SamplerProvider.
-func (e *Epoch) StaticSampler(v graph.VertexID) sampling.StaticSampler {
+// AliasRow returns the prebuilt alias row for v, or nil when the epoch
+// has none (unweighted graph, or a zero-degree vertex) and the caller
+// should build its own. Implements the engine's SamplerProvider.
+func (e *Epoch) AliasRow(v graph.VertexID) []sampling.AliasEntry {
 	if e.store == nil {
 		return nil
 	}
@@ -66,46 +65,44 @@ func (e *Epoch) StaticSampler(v graph.VertexID) sampling.StaticSampler {
 	return e.store.base[v]
 }
 
-// samplerView is an epoch's per-vertex alias tables: a dense base table (index = vertex) plus tabs, parallel to the epoch view's
-// overlay vertex list, for vertices whose adjacency diverged from the
-// base. Both levels are shared by pointer across epochs; an Apply only
-// allocates tables for the vertices it touched.
+// samplerView is an epoch's per-vertex alias rows: a dense base table
+// (index = vertex) plus tabs, parallel to the epoch view's overlay vertex
+// list, for vertices whose adjacency diverged from the base. Row headers
+// are copied across epochs, the rows themselves shared; an Apply only
+// builds rows for the vertices it touched.
 type samplerView struct {
-	base []sampling.StaticSampler
-	tabs []sampling.StaticSampler
+	base [][]sampling.AliasEntry
+	tabs [][]sampling.AliasEntry
 }
 
-// extend produces the next epoch's tables over the updated overlay
-// state, rebuilding only where touched[i] is set (O(degree) each); every
-// other vertex is overlaid in prev, the view s belongs to, and keeps its
-// table by pointer. nil receiver (unweighted graph) stays nil.
-func (s *samplerView) extend(prev *graph.Graph, verts []graph.VertexID, segs [][]edgeRec, touched []bool) (*samplerView, error) {
+// extend produces the next epoch's rows over next, the updated overlay
+// view, rebuilding only where touched[i] is set (O(degree) each, Dst taken
+// from the vertex's new segment); every other vertex is overlaid in prev,
+// the view s belongs to, and keeps its row. nil receiver (unweighted
+// graph) stays nil.
+func (s *samplerView) extend(prev, next *graph.Graph, verts []graph.VertexID, touched []bool) (*samplerView, error) {
 	if s == nil {
 		return nil, nil
 	}
 	out := &samplerView{
 		base: s.base,
-		tabs: make([]sampling.StaticSampler, len(verts)),
+		tabs: make([][]sampling.AliasEntry, len(verts)),
 	}
-	weights := make([]float32, 0, 64)
+	var scratch sampling.AliasScratch
 	for i, v := range verts {
 		if !touched[i] {
 			out.tabs[i] = s.tabs[prev.OverlayIndex(v)]
 			continue
 		}
-		seg := segs[i]
-		if len(seg) == 0 {
-			continue // zero-degree: no table, like the base convention
+		deg := next.Degree(v)
+		if deg == 0 {
+			continue // zero-degree: no row, like the base convention
 		}
-		weights = weights[:0]
-		for _, e := range seg {
-			weights = append(weights, e.w)
-		}
-		tab, err := sampling.NewAlias(weights)
-		if err != nil {
+		row := make([]sampling.AliasEntry, deg)
+		if err := sampling.BuildAliasRow(row, next.Weights(v), next.Neighbors(v), &scratch); err != nil {
 			return nil, fmt.Errorf("dyngraph: rebuild sampler of vertex %d: %w", v, err)
 		}
-		out.tabs[i] = tab
+		out.tabs[i] = row
 	}
 	return out, nil
 }

@@ -13,7 +13,9 @@ import (
 // rejects, and on success the epoch's compacted view must fingerprint
 // identically to the rebuilt graph while staying structurally valid, the
 // view's MaxWeight must be the rebuilt graph's exact maximum at every
-// vertex, and every prebuilt sampler table must hold the rebuilt weights.
+// vertex, and every prebuilt alias row must equal the row built from the
+// rebuilt graph, its Dst sequence the compacted view's adjacency (a stale
+// Dst would walk a deleted edge, which a degree check cannot see).
 func FuzzApplyDeltas(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x40})
 	f.Add([]byte{0x81, 0x02, 0x01, 0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06})
@@ -56,6 +58,19 @@ func FuzzApplyDeltas(f *testing.F) {
 					}
 				}
 				assertTablesMatch(t, ep, rebuilt)
+				compacted := view.Compacted()
+				for v := 0; v < compacted.NumVertices(); v++ {
+					id := graph.VertexID(v)
+					row, adj := ep.AliasRow(id), compacted.Neighbors(id)
+					if len(row) != len(adj) {
+						t.Fatalf("vertex %d: row over %d edges, compacted degree %d", v, len(row), len(adj))
+					}
+					for i, e := range row {
+						if e.Dst != adj[i] {
+							t.Fatalf("vertex %d edge %d: row walks to %d, compacted view to %d, after batch %+v", v, i, e.Dst, adj[i], batch)
+						}
+					}
+				}
 			} else {
 				// Failed batches must keep the model in sync: rebuild the
 				// model from the current epoch.

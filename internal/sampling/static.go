@@ -41,28 +41,31 @@ func NewUniform(n int) *Uniform {
 	return &Uniform{n: n}
 }
 
+// sharedUniformMax bounds SharedUniform's cache, which lives as long as
+// the process: a hub of degree n must not pin n pointers.
+const sharedUniformMax = 4096
+
 // uniformCache backs SharedUniform: Uniform is immutable and parameterized
 // only by n, so one instance per item count serves every caller.
 var uniformCache struct {
 	mu sync.Mutex
-	by []*Uniform
+	by [sharedUniformMax + 1]*Uniform
 }
 
-// SharedUniform returns a process-shared uniform sampler over n items,
-// equivalent to NewUniform(n) but served from a cache so that building
-// per-vertex sampler tables for an unweighted graph allocates nothing per
-// vertex. Safe for concurrent use; n must be positive.
+// SharedUniform returns a uniform sampler over n items, equivalent to
+// NewUniform(n), served from a process-shared cache for n up to 4096 so
+// that building per-vertex sampler tables for an unweighted graph
+// allocates nothing per vertex; larger n get a fresh sampler. Safe for
+// concurrent use; n must be positive.
 func SharedUniform(n int) *Uniform {
 	if n <= 0 {
 		panic(fmt.Sprintf("sampling: SharedUniform(%d)", n))
 	}
+	if n > sharedUniformMax {
+		return &Uniform{n: n}
+	}
 	uniformCache.mu.Lock()
 	defer uniformCache.mu.Unlock()
-	if n >= len(uniformCache.by) {
-		grown := make([]*Uniform, n+1)
-		copy(grown, uniformCache.by)
-		uniformCache.by = grown
-	}
 	u := uniformCache.by[n]
 	if u == nil {
 		u = &Uniform{n: n}
@@ -85,50 +88,55 @@ func (u *Uniform) Total() float64 { return float64(u.n) }
 // WeightAt returns 1 for every item.
 func (u *Uniform) WeightAt(int) float64 { return 1 }
 
-// Alias is a Walker/Vose alias table: O(n) construction, O(1) sampling.
-// This is KnightKing's default static solution (§3, Figure 1b).
-type Alias struct {
-	prob    []float64 // acceptance threshold per bucket
-	alias   []int32   // fallback item per bucket
-	weights []float64
-	total   float64
+// AliasEntry is one bucket of an alias row, and one per out-edge: the
+// bucket's acceptance threshold, its fallback item, and the destination
+// of the edge the bucket is primary for. Dst fills the padding a
+// {float64, int32} bucket costs anyway, so a draw reads one 16-byte entry
+// (two on the alias branch, both in the same row) and never the CSR.
+type AliasEntry struct {
+	Prob  float64
+	Alias int32
+	Dst   uint32
 }
 
-// NewAlias builds an alias table over the given non-negative weights. At
-// least one weight must be positive.
-func NewAlias(weights []float32) (*Alias, error) {
+// AliasScratch is BuildAliasRow's reusable work space; the zero value is
+// ready, and one scratch serves any number of rows built in sequence.
+type AliasScratch struct {
+	small, large []int32
+}
+
+// BuildAliasRow fills out with the Walker/Vose alias table over the given
+// non-negative weights (at least one positive), setting out[i].Dst =
+// dst[i]; dst may be nil, leaving Dst zero. O(n), and allocation-free once
+// scratch (non-nil) has grown to the largest row. This is the tree's one
+// alias construction: NewAlias wraps it.
+func BuildAliasRow(out []AliasEntry, weights []float32, dst []uint32, scratch *AliasScratch) error {
 	n := len(weights)
 	if n == 0 {
-		return nil, fmt.Errorf("sampling: alias table over zero items")
+		return fmt.Errorf("sampling: alias table over zero items")
 	}
-	w := make([]float64, n)
+	if len(out) != n || (dst != nil && len(dst) != n) {
+		return fmt.Errorf("sampling: alias row of %d entries, %d destinations, for %d weights", len(out), len(dst), n)
+	}
 	total := 0.0
 	for i, x := range weights {
 		if x < 0 || math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			return nil, fmt.Errorf("sampling: invalid weight %v at %d", x, i)
+			return fmt.Errorf("sampling: invalid weight %v at %d", x, i)
 		}
-		w[i] = float64(x)
 		total += float64(x)
 	}
 	if !(total > 0) {
-		return nil, fmt.Errorf("sampling: weights sum to %v", total)
+		return fmt.Errorf("sampling: weights sum to %v", total)
 	}
-
-	a := &Alias{
-		prob:    make([]float64, n),
-		alias:   make([]int32, n),
-		weights: w,
-		total:   total,
-	}
-	// Scaled weights: mean 1 per bucket.
-	scaled := make([]float64, n)
-	for i := range w {
-		scaled[i] = w[i] * float64(n) / total
-	}
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
+	// Prob holds each item's scaled weight (mean 1 per bucket) until the
+	// item is paired; the pairing then leaves it as the final threshold.
+	small, large := scratch.small[:0], scratch.large[:0]
 	for i := n - 1; i >= 0; i-- {
-		if scaled[i] < 1 {
+		out[i] = AliasEntry{Prob: float64(weights[i]) * float64(n) / total}
+		if dst != nil {
+			out[i].Dst = dst[i]
+		}
+		if out[i].Prob < 1 {
 			small = append(small, int32(i))
 		} else {
 			large = append(large, int32(i))
@@ -139,46 +147,82 @@ func NewAlias(weights []float32) (*Alias, error) {
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
+		out[s].Alias = l
+		out[l].Prob -= 1 - out[s].Prob
+		if out[l].Prob < 1 {
 			small = append(small, l)
 		} else {
 			large = append(large, l)
 		}
 	}
 	for _, l := range large {
-		a.prob[l] = 1
-		a.alias[l] = l
+		out[l].Prob, out[l].Alias = 1, l
 	}
 	for _, s := range small { // numeric residue; should be ~1 already
-		a.prob[s] = 1
-		a.alias[s] = s
+		out[s].Prob, out[s].Alias = 1, s
 	}
+	scratch.small, scratch.large = small, large
+	return nil
+}
+
+// Alias is a Walker/Vose alias table: O(n) construction, O(1) sampling.
+// This is KnightKing's default static solution (§3, Figure 1b). Its
+// buckets are an alias row, which may live in a caller's slab (see Init).
+type Alias struct {
+	row     []AliasEntry
+	weights []float32
+	total   float64
+}
+
+// NewAlias builds an alias table over the given non-negative weights. At
+// least one weight must be positive.
+func NewAlias(weights []float32) (*Alias, error) {
+	row := make([]AliasEntry, len(weights))
+	if err := BuildAliasRow(row, weights, nil, new(AliasScratch)); err != nil {
+		return nil, err
+	}
+	a := new(Alias)
+	a.Init(row, append([]float32(nil), weights...))
 	return a, nil
 }
 
-// Sample draws an index in O(1): pick a bucket uniformly, then the bucket's
-// primary item with probability prob[b], else its alias.
-//
-//kk:hotpath
-func (a *Alias) Sample(r *rng.Rand) int {
-	b := r.Intn(len(a.prob))
-	if r.Float64() < a.prob[b] {
-		return b
+// Init lays a over row, an alias row built by BuildAliasRow from weights —
+// the arena form of NewAlias, for callers that keep their rows and
+// tables in slabs. Both slices are retained, not copied.
+func (a *Alias) Init(row []AliasEntry, weights []float32) {
+	total := 0.0
+	for _, x := range weights {
+		total += float64(x)
 	}
-	return int(a.alias[b])
+	*a = Alias{row: row, weights: weights, total: total}
 }
 
+// DrawAlias draws an index of row in O(1), in proportion to the weights it
+// was built from: a uniform bucket, then its primary item with probability
+// Prob, else its alias — one Intn and one Float64 of r on either branch.
+//
+//kk:hotpath
+func DrawAlias(row []AliasEntry, r *rng.Rand) int {
+	b := r.Intn(len(row))
+	if e := &row[b]; r.Float64() >= e.Prob {
+		return int(e.Alias)
+	}
+	return b
+}
+
+// Sample draws an index in O(1) (DrawAlias over the table's row).
+//
+//kk:hotpath
+func (a *Alias) Sample(r *rng.Rand) int { return DrawAlias(a.row, r) }
+
 // N returns the item count.
-func (a *Alias) N() int { return len(a.prob) }
+func (a *Alias) N() int { return len(a.row) }
 
 // Total returns ΣPs.
 func (a *Alias) Total() float64 { return a.total }
 
 // WeightAt returns the weight of item i.
-func (a *Alias) WeightAt(i int) float64 { return a.weights[i] }
+func (a *Alias) WeightAt(i int) float64 { return float64(a.weights[i]) }
 
 // ITS is an inverse-transform sampler: a CDF array with binary search,
 // O(n) construction, O(log n) sampling (§3, Figure 1a). KnightKing uses

@@ -353,8 +353,8 @@ func (s *scheduler) runJob(j *Job) {
 		Seed:       j.Spec.Seed,
 		Counters:   counters,
 		Cancel:     j.cancel,
-		// The epoch's incrementally maintained static sampler tables; the
-		// engine uses them where they apply exactly and builds its own
+		// The epoch's incrementally maintained alias rows; the engine
+		// uses them where they apply exactly and builds its own
 		// otherwise.
 		Samplers: epoch,
 	}
