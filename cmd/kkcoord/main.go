@@ -25,8 +25,8 @@ import (
 	"os"
 	"time"
 
-	"knightking/internal/alg"
 	"knightking/internal/coord"
+	"knightking/internal/job"
 )
 
 func main() {
@@ -34,12 +34,8 @@ func main() {
 		graphPath  = flag.String("graph", "", "input graph file (required; must be readable by every worker)")
 		binary     = flag.Bool("binary", false, "graph file is in binary CSR format (workers load only their slice)")
 		undirected = flag.Bool("undirected", false, "double text edges into both directions")
-		walkers    = flag.Int("walkers", 0, "walker count (0 = |V|)")
-		seed       = flag.Uint64("seed", 1, "run seed")
-		workers    = flag.Int("workers", 4, "worker goroutines per rank")
 		netTimeout = flag.Duration("net-timeout", 30*time.Second, "exchange barrier + TCP deadline on the data plane (0 = wait forever)")
 		ckptDir    = flag.String("checkpoint-dir", "", "shared checkpoint directory (enables failover resume)")
-		ckptEvery  = flag.Int("checkpoint-every", 16, "supersteps between checkpoints")
 		resume     = flag.Bool("resume", false, "resume the first attempt from -checkpoint-dir")
 		dumpDir    = flag.String("dump-dir", "", "shared directory for per-rank walk dumps (walks-rankNNNNN.txt)")
 		ranks      = flag.Int("ranks", 3, "cluster size (number of kkrank workers to seat)")
@@ -52,7 +48,7 @@ func main() {
 		tracePath  = flag.String("trace", "", "write the control-plane causal trace (Perfetto JSON) to this file at exit")
 		jsonOut    = flag.Bool("json", false, "print the job summary as one JSON line on stdout")
 	)
-	var spec alg.Spec
+	var spec job.Spec
 	spec.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if *graphPath == "" {
@@ -62,17 +58,13 @@ func main() {
 	logger := log.New(os.Stderr, "kkcoord: ", log.Lmicroseconds)
 	c, err := coord.New(coord.Options{
 		Spec: coord.JobSpec{
-			GraphPath:       *graphPath,
-			GraphBinary:     *binary,
-			Undirected:      *undirected,
-			Spec:            spec,
-			Walkers:         *walkers,
-			Seed:            *seed,
-			Workers:         *workers,
-			NetTimeoutMS:    netTimeout.Milliseconds(),
-			CheckpointDir:   *ckptDir,
-			CheckpointEvery: *ckptEvery,
-			DumpDir:         *dumpDir,
+			GraphPath:     *graphPath,
+			GraphBinary:   *binary,
+			Undirected:    *undirected,
+			Spec:          spec,
+			NetTimeoutMS:  netTimeout.Milliseconds(),
+			CheckpointDir: *ckptDir,
+			DumpDir:       *dumpDir,
 		},
 		Ranks:            *ranks,
 		ControlAddr:      *control,

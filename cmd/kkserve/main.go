@@ -123,19 +123,9 @@ func loadGraphFlag(spec string) (string, *graph.Graph, error) {
 			return "", nil, fmt.Errorf("bad -graph option %q in %q", opt, spec)
 		}
 	}
-	f, err := os.Open(path)
+	g, err := graph.Open(path, binary, undirected)
 	if err != nil {
-		return "", nil, fmt.Errorf("open graph %q: %v", path, err)
-	}
-	defer f.Close()
-	var g *graph.Graph
-	if binary {
-		g, err = graph.ReadBinary(f)
-	} else {
-		g, err = graph.ReadEdgeList(f, undirected, 0)
-	}
-	if err != nil {
-		return "", nil, fmt.Errorf("parse graph %q: %v", path, err)
+		return "", nil, fmt.Errorf("load graph %q: %v", path, err)
 	}
 	return name, g, nil
 }

@@ -298,35 +298,7 @@ var ErrNone = errors.New("checkpoint: none found")
 // Checkpoints whose manifest or any segment fails validation (bad magic or
 // checksum, wrong size, missing file) are skipped in favor of the previous
 // one; the returned error lists every rejection when none survive.
-func Load(dir string) (*Checkpoint, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	var iters []int
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		if it, ok := parseIterDir(e.Name(), ckptPrefix); ok {
-			iters = append(iters, it)
-		}
-	}
-	if len(iters) == 0 {
-		return nil, fmt.Errorf("%w under %s", ErrNone, dir)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(iters)))
-	var rejections []string
-	for _, it := range iters {
-		c, err := loadOne(ckptDir(dir, it), it)
-		if err == nil {
-			return c, nil
-		}
-		rejections = append(rejections, err.Error())
-	}
-	return nil, fmt.Errorf("checkpoint: no complete checkpoint under %s:\n  %s",
-		dir, strings.Join(rejections, "\n  "))
-}
+func Load(dir string) (*Checkpoint, error) { return load(dir, -1) }
 
 // LoadRank is Load restricted to one rank's segment: the newest committed
 // checkpoint is located, its manifest verified, and only segment `rank` is
@@ -343,6 +315,14 @@ func Load(dir string) (*Checkpoint, error) {
 // strictly after all ranks' fsync+rename), so skipping the other ranks'
 // files sacrifices no safety beyond what their own LoadRank verifies.
 func LoadRank(dir string, rank int) (*Checkpoint, error) {
+	if rank < 0 {
+		return nil, fmt.Errorf("checkpoint: negative rank %d", rank)
+	}
+	return load(dir, rank)
+}
+
+// load is Load (rank < 0) and LoadRank.
+func load(dir string, rank int) (*Checkpoint, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -362,19 +342,23 @@ func LoadRank(dir string, rank int) (*Checkpoint, error) {
 	sort.Sort(sort.Reverse(sort.IntSlice(iters)))
 	var rejections []string
 	for _, it := range iters {
-		c, err := loadOneRank(ckptDir(dir, it), it, rank)
+		c, err := loadOne(ckptDir(dir, it), it, rank)
 		if err == nil {
 			return c, nil
 		}
 		rejections = append(rejections, err.Error())
 	}
-	return nil, fmt.Errorf("checkpoint: no complete checkpoint for rank %d under %s:\n  %s",
-		rank, dir, strings.Join(rejections, "\n  "))
+	forRank := ""
+	if rank >= 0 {
+		forRank = fmt.Sprintf(" for rank %d", rank)
+	}
+	return nil, fmt.Errorf("checkpoint: no complete checkpoint%s under %s:\n  %s",
+		forRank, dir, strings.Join(rejections, "\n  "))
 }
 
-// loadOneRank reads one checkpoint directory's manifest plus a single
-// rank's segment.
-func loadOneRank(path string, iteration, rank int) (*Checkpoint, error) {
+// loadOne reads and verifies one checkpoint directory: its manifest plus
+// every segment, or only rank's when rank >= 0.
+func loadOne(path string, iteration, rank int) (*Checkpoint, error) {
 	raw, err := os.ReadFile(filepath.Join(path, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -386,53 +370,26 @@ func loadOneRank(path string, iteration, rank int) (*Checkpoint, error) {
 	if m.Iteration != iteration {
 		return nil, fmt.Errorf("%s: manifest is for superstep %d", path, m.Iteration)
 	}
-	if rank < 0 || rank >= len(m.Segments) {
+	if rank >= len(m.Segments) {
 		return nil, fmt.Errorf("%s: rank %d outside the manifest's %d ranks", path, rank, len(m.Segments))
 	}
-	blob, err := os.ReadFile(filepath.Join(path, fmt.Sprintf(segPattern, rank)))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	seg := m.Segments[rank]
-	if int64(len(blob)) != seg.Size {
-		return nil, fmt.Errorf("%s: segment %d is %d bytes, manifest says %d (torn write?)",
-			path, rank, len(blob), seg.Size)
-	}
-	if crc64.Checksum(blob, crcTable) != seg.CRC {
-		return nil, fmt.Errorf("%s: segment %d checksum mismatch", path, rank)
-	}
 	c := &Checkpoint{Iteration: m.Iteration, Meta: m.Meta, Segments: make([][]byte, len(m.Segments))}
-	c.Segments[rank] = blob
-	return c, nil
-}
-
-// loadOne reads and verifies one checkpoint directory.
-func loadOne(path string, iteration int) (*Checkpoint, error) {
-	raw, err := os.ReadFile(filepath.Join(path, manifestName))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	m, err := ReadManifest(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if m.Iteration != iteration {
-		return nil, fmt.Errorf("%s: manifest is for superstep %d", path, m.Iteration)
-	}
-	c := &Checkpoint{Iteration: m.Iteration, Meta: m.Meta, Segments: make([][]byte, len(m.Segments))}
-	for rank, seg := range m.Segments {
-		blob, err := os.ReadFile(filepath.Join(path, fmt.Sprintf(segPattern, rank)))
+	for r, seg := range m.Segments {
+		if rank >= 0 && r != rank {
+			continue
+		}
+		blob, err := os.ReadFile(filepath.Join(path, fmt.Sprintf(segPattern, r)))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		if int64(len(blob)) != seg.Size {
 			return nil, fmt.Errorf("%s: segment %d is %d bytes, manifest says %d (torn write?)",
-				path, rank, len(blob), seg.Size)
+				path, r, len(blob), seg.Size)
 		}
 		if crc64.Checksum(blob, crcTable) != seg.CRC {
-			return nil, fmt.Errorf("%s: segment %d checksum mismatch", path, rank)
+			return nil, fmt.Errorf("%s: segment %d checksum mismatch", path, r)
 		}
-		c.Segments[rank] = blob
+		c.Segments[r] = blob
 	}
 	return c, nil
 }

@@ -44,11 +44,11 @@ var phaseNames = [...]string{"idle", "preparing", "ready", "running", "done"}
 
 // Coordinator states.
 const (
-	stGather = iota // waiting for enough registered workers
-	stPrepare       // assignments out, collecting readies
-	stRun           // attempt running
-	stAbort         // abort out, collecting acknowledgements
-	stDone          // job finished (summary or error)
+	stGather  = iota // waiting for enough registered workers
+	stPrepare        // assignments out, collecting readies
+	stRun            // attempt running
+	stAbort          // abort out, collecting acknowledgements
+	stDone           // job finished (summary or error)
 )
 
 var stateNames = [...]string{"gathering", "preparing", "running", "aborting", "done"}
@@ -156,6 +156,8 @@ type Coordinator struct {
 	finished      bool
 	summary       *Summary
 	err           error
+	// lastFailover is the newest failover's reason, which a give-up names.
+	lastFailover string
 }
 
 // New validates the job, computes the partition, and binds the control
@@ -461,7 +463,7 @@ func (c *Coordinator) vacate(rank int) {
 // beginAttempt hands every seat its rank for a fresh mesh epoch.
 func (c *Coordinator) beginAttempt() {
 	if c.attempt >= c.opts.MaxAttempts {
-		c.failJob(fmt.Errorf("coord: giving up after %d attempts", c.attempt))
+		c.failJob(fmt.Errorf("coord: giving up after %d attempts; last failover: %s", c.attempt, c.lastFailover))
 		return
 	}
 	c.attempt++
@@ -562,6 +564,7 @@ func (c *Coordinator) failover(reason string) {
 		return
 	}
 	c.failovers++
+	c.lastFailover = reason
 	if c.failoverStart == 0 {
 		c.failoverStart = c.trace.clock()
 	}

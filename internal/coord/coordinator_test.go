@@ -5,11 +5,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"knightking/internal/alg"
+	"knightking/internal/job"
 )
 
 // writeTestGraph writes a small ring graph and returns its path.
@@ -130,7 +132,7 @@ func (f *fakeWorker) run(addr string) {
 func newTestCoordinator(t *testing.T, ranks int, opt func(*Options)) *Coordinator {
 	t.Helper()
 	opts := Options{
-		Spec:  JobSpec{GraphPath: writeTestGraph(t, 20), Spec: alg.Spec{Alg: "deepwalk", Length: 5}, Seed: 1},
+		Spec:  JobSpec{GraphPath: writeTestGraph(t, 20), Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Length: 5}, Seed: 1}},
 		Ranks: ranks,
 	}
 	if opt != nil {
@@ -280,5 +282,22 @@ func TestCoordinatorGatherTimeout(t *testing.T) {
 	go w.run(c.Addr()) //kk:goro-ok joined out of band: Run closes every control conn before returning, unblocking the lone worker
 	if _, err := c.Run(); err == nil {
 		t.Fatal("want gather-timeout error, got nil")
+	}
+}
+
+// TestCheckpointIntervalZeroRejected: a checkpoint directory with
+// checkpoint_every 0 is refused by New, before any worker is seated —
+// the same rule kkwalk and kkserve run under, instead of a silent 16.
+func TestCheckpointIntervalZeroRejected(t *testing.T) {
+	_, err := New(Options{
+		Spec: JobSpec{
+			GraphPath:     writeTestGraph(t, 20),
+			Spec:          job.Spec{Spec: alg.Spec{Alg: "deepwalk", Length: 5}, Seed: 1},
+			CheckpointDir: filepath.Join(t.TempDir(), "ckpt"),
+		},
+		Ranks: 1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "checkpoint interval 0") {
+		t.Fatalf("New = %v, want a checkpoint interval 0 error", err)
 	}
 }

@@ -349,6 +349,79 @@ func TestClusterKillRankE2E(t *testing.T) {
 	}
 }
 
+// TestEnginePanicFailsJobE2E: a biased walk on a graph whose vertex 0 has
+// only zero-weight out-edges panics in the engine's sampler set-up on the
+// rank. The rank must report that as a failed attempt (not die with a
+// goroutine dump and leave the coordinator regathering), and once the
+// attempts run out kkcoord must fail naming the cause.
+func TestEnginePanicFailsJobE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	dir := t.TempDir()
+	bins := buildBinaries(t, dir, "kkcoord", "kkrank")
+	graph := filepath.Join(dir, "zero.txt")
+	if err := os.WriteFile(graph, []byte("0 1 0\n0 2 0\n1 2 1\n2 0 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	addrFile := filepath.Join(dir, "coord.addr")
+	coordCmd := exec.Command(bins["kkcoord"], "-graph", graph, "-alg", "deepwalk", "-biased",
+		"-ranks", "1", "-max-attempts", "2", "-gather-timeout", "30s", "-addr-file", addrFile)
+	var coordErr, rankErr strings.Builder
+	coordCmd.Stderr = &coordErr
+	if err := coordCmd.Start(); err != nil {
+		t.Fatalf("start kkcoord: %v", err)
+	}
+	coordDone := make(chan error, 1)
+	go func() { coordDone <- coordCmd.Wait() }()
+	defer func() {
+		_ = coordCmd.Process.Kill()
+	}()
+
+	var coordAddr string
+	for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline) && coordAddr == ""; {
+		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
+			coordAddr = string(b)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if coordAddr == "" {
+		t.Fatal("coordinator never wrote its address")
+	}
+	rank := exec.Command(bins["kkrank"], "-coord", coordAddr)
+	rank.Stderr = &rankErr
+	if err := rank.Start(); err != nil {
+		t.Fatalf("start kkrank: %v", err)
+	}
+	rankDone := make(chan struct{})
+	go func() { _ = rank.Wait(); close(rankDone) }()
+	defer func() {
+		_ = rank.Process.Kill()
+		<-rankDone
+	}()
+
+	select {
+	case err := <-coordDone:
+		if err == nil {
+			t.Fatalf("kkcoord succeeded on a zero-weight biased walk; log:\n%s", coordErr.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("kkcoord still running after 30s")
+	}
+	lines := strings.Split(strings.TrimSpace(coordErr.String()), "\n")
+	if last := lines[len(lines)-1]; !strings.Contains(last, "weights sum to 0") {
+		t.Fatalf("kkcoord's last line %q does not name the cause; log:\n%s", last, coordErr.String())
+	}
+	select {
+	case <-rankDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("kkrank still running 10s after the job failed")
+	}
+	if strings.Contains(rankErr.String(), "goroutine") {
+		t.Fatalf("kkrank died with a goroutine dump:\n%s", rankErr.String())
+	}
+}
+
 // TestKKWalkFlagPairing: kkwalk's static multi-process flags are retired
 // in favour of kkcoord/kkrank, so a launch script still passing -rank or
 // -peers must fail fast with a usage error instead of silently running a

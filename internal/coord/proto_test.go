@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"knightking/internal/alg"
+	"knightking/internal/job"
 )
 
 // pipePair returns two controlConns over an in-memory connection.
@@ -28,7 +29,7 @@ func TestProtoRoundTrip(t *testing.T) {
 			Peers:           []string{"a:1", "b:2", "c:3"},
 			PartitionStarts: []uint32{0, 10, 20, 30},
 			Resume:          true,
-			Spec:            JobSpec{GraphPath: "g.txt", Spec: alg.Spec{Alg: "deepwalk", Length: 80}, Seed: 7},
+			Spec:            JobSpec{GraphPath: "g.txt", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Length: 80}, Seed: 7}},
 		},
 	}
 	errc := make(chan error, 1)

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"os"
 
-	"knightking/internal/alg"
 	"knightking/internal/cluster"
 	"knightking/internal/graph"
+	"knightking/internal/job"
 )
 
 // JobSpec describes one walk job. The coordinator owns the authoritative
@@ -23,17 +23,10 @@ type JobSpec struct {
 	// Undirected doubles text edges into both directions.
 	Undirected bool `json:"undirected,omitempty"`
 
-	// Spec is the walk program: alg and its parameters, with the same
-	// keys and defaults as kkwalk's flags and kkserve's POST /jobs body.
-	alg.Spec
-
-	// Walkers is the walker count (0 = |V|); Seed pins determinism.
-	Walkers int    `json:"walkers,omitempty"`
-	Seed    uint64 `json:"seed"`
-
-	// Workers is the computation goroutine count per rank (0 = engine
-	// default).
-	Workers int `json:"workers,omitempty"`
+	// Spec is the walk program and run shape (alg and its parameters,
+	// seed, walkers, workers, checkpoint_every), with the same keys and
+	// defaults as kkwalk's flags and kkserve's POST /jobs body.
+	job.Spec
 
 	// NetTimeoutMS bounds every exchange barrier and sets the mesh's TCP
 	// read/write deadlines, so a dead peer surfaces as transport.ErrTimeout
@@ -43,8 +36,7 @@ type JobSpec struct {
 
 	// CheckpointDir enables snapshots every CheckpointEvery supersteps;
 	// it must be reachable by every worker for failover to resume.
-	CheckpointDir   string `json:"checkpoint_dir,omitempty"`
-	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
+	CheckpointDir string `json:"checkpoint_dir,omitempty"`
 
 	// DumpDir, when set, makes each rank write its walk sequences to
 	// <DumpDir>/walks-rankNNNNN.txt, one "<walkerID> v1 v2 ..." line per
@@ -60,14 +52,8 @@ func (s *JobSpec) Validate() error {
 	if s.GraphPath == "" {
 		return fmt.Errorf("coord: spec has no graph path")
 	}
-	if err := s.Spec.Normalize(); err != nil {
+	if err := s.Spec.Validate(s.CheckpointDir); err != nil {
 		return fmt.Errorf("coord: %w", err)
-	}
-	if s.Walkers < 0 || s.Workers < 0 {
-		return fmt.Errorf("coord: walkers, workers must be non-negative")
-	}
-	if s.CheckpointDir != "" && s.CheckpointEvery < 0 {
-		return fmt.Errorf("coord: negative checkpoint interval %d", s.CheckpointEvery)
 	}
 	return nil
 }
@@ -77,12 +63,12 @@ func (s *JobSpec) Validate() error {
 // only the degree header is read — the same agreement rule the workers
 // use before loading their slices.
 func partitionSpec(s *JobSpec, ranks int) (starts []graph.VertexID, numVertices int, err error) {
-	f, err := os.Open(s.GraphPath)
-	if err != nil {
-		return nil, 0, fmt.Errorf("coord: open graph: %w", err)
-	}
-	defer func() { _ = f.Close() }() // read-only
 	if s.GraphBinary {
+		f, err := os.Open(s.GraphPath)
+		if err != nil {
+			return nil, 0, fmt.Errorf("coord: open graph: %w", err)
+		}
+		defer func() { _ = f.Close() }() // read-only
 		hdr, err := graph.ReadBinaryDegrees(f)
 		if err != nil {
 			return nil, 0, fmt.Errorf("coord: read degrees: %w", err)
@@ -94,7 +80,7 @@ func partitionSpec(s *JobSpec, ranks int) (starts []graph.VertexID, numVertices 
 		part := cluster.Partition1DFromDegrees(degrees, ranks, 1)
 		return part.Starts(), hdr.NumVertices, nil
 	}
-	g, err := graph.ReadEdgeList(f, s.Undirected, 0)
+	g, err := graph.Open(s.GraphPath, false, s.Undirected)
 	if err != nil {
 		return nil, 0, fmt.Errorf("coord: load graph: %w", err)
 	}

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"knightking/internal/alg"
+	"knightking/internal/job"
 )
 
 // TestJobSpecValidate: every spec the coordinator would seat only to watch
 // each rank fail must be refused up front, naming what is wrong.
 func TestJobSpecValidate(t *testing.T) {
-	valid := JobSpec{GraphPath: "g.txt", Spec: alg.Spec{Alg: "node2vec"}, CheckpointDir: "ck", CheckpointEvery: 4}
+	valid := JobSpec{GraphPath: "g.txt", Spec: job.Spec{Spec: alg.Spec{Alg: "node2vec"}, CheckpointEvery: 4}, CheckpointDir: "ck"}
 	for _, tc := range []struct {
 		name    string
 		edit    func(*JobSpec)

@@ -11,10 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"knightking/internal/checkpoint"
 	"knightking/internal/cluster"
 	"knightking/internal/core"
 	"knightking/internal/graph"
+	"knightking/internal/job"
 	"knightking/internal/transport"
 )
 
@@ -69,7 +69,7 @@ type graphKey struct {
 // attempt is one assignment's lifecycle, from assign to done/failed.
 type attempt struct {
 	a       *Assignment
-	cfg     core.Config
+	run     *job.Job
 	cancel  chan struct{}
 	once    sync.Once
 	grace   *time.Timer
@@ -321,16 +321,12 @@ func RunWorker(opts WorkerOptions) error {
 	}
 }
 
-// prepare loads the assignment's graph slice and checkpoint and builds the
-// engine config. It returns the superstep the rank will resume from (0 =
-// fresh).
+// prepare loads the assignment's graph slice and prepares the rank's
+// run, checkpoint resume included. It returns the superstep the rank will
+// resume from (0 = fresh).
 func (w *worker) prepare(at *attempt, logf func(string, ...interface{})) (int, error) {
 	a := at.a
 	spec := &a.Spec
-	program, err := spec.Build()
-	if err != nil {
-		return 0, err
-	}
 	if len(a.PartitionStarts) != a.Ranks+1 {
 		return 0, fmt.Errorf("coord: assignment has %d partition boundaries for %d ranks", len(a.PartitionStarts), a.Ranks)
 	}
@@ -349,61 +345,29 @@ func (w *worker) prepare(at *attempt, logf func(string, ...interface{})) (int, e
 		return 0, err
 	}
 
-	cfg := core.Config{
-		Graph:       g,
-		Algorithm:   program,
-		Workers:     spec.Workers,
-		NumWalkers:  spec.Walkers,
-		Seed:        spec.Seed,
-		RecordPaths: spec.DumpDir != "",
-		NetTimeout:  time.Duration(spec.NetTimeoutMS) * time.Millisecond,
-		Cancel:      at.cancel,
-		Observer:    at,
-	}
 	// Every rank runs the coordinator's partition verbatim; for binary
 	// graphs the slice-loaded graph keeps the global vertex ID space and
 	// these boundaries are what anchor it.
-	cfg.PartitionStarts = starts
-
-	resumeIter := 0
-	if spec.CheckpointDir != "" {
-		every := spec.CheckpointEvery
-		if every <= 0 {
-			every = 16
-		}
-		effWalkers := spec.Walkers
-		if effWalkers <= 0 {
-			effWalkers = g.NumVertices()
-		}
-		meta := checkpoint.Meta{
-			Seed:        spec.Seed,
-			NumWalkers:  uint64(effWalkers),
-			NumVertices: uint64(g.NumVertices()),
-			Algorithm:   program.Name,
-		}
-		store, err := checkpoint.NewStore(spec.CheckpointDir, every, meta)
-		if err != nil {
-			return 0, err
-		}
-		cfg.Checkpoint = store
-		if a.Resume {
-			cp, err := checkpoint.LoadRank(spec.CheckpointDir, a.Rank)
-			switch {
-			case errors.Is(err, checkpoint.ErrNone):
-				// Died before the first checkpoint committed: fresh start.
-			case err != nil:
-				return 0, err
-			default:
-				if err := cp.Validate(meta); err != nil {
-					return 0, err
-				}
-				cfg.Restore = cp.RestoreState()
-				resumeIter = cp.Iteration
-			}
-		}
+	wiring := job.Wiring{
+		PartitionStarts: starts,
+		CheckpointDir:   spec.CheckpointDir,
+		Resume:          a.Resume,
+		Observer:        at,
+		Cancel:          at.cancel,
+		RecordPaths:     spec.DumpDir != "",
+		NetTimeout:      time.Duration(spec.NetTimeoutMS) * time.Millisecond,
 	}
-	at.cfg = cfg
-	return resumeIter, nil
+	run, err := job.PrepareRank(spec.Spec, g, a.Rank, wiring)
+	if errors.Is(err, job.ErrNoCheckpoint) {
+		// Died before the first checkpoint committed: fresh start.
+		wiring.Resume = false
+		run, err = job.PrepareRank(spec.Spec, g, a.Rank, wiring)
+	}
+	if err != nil {
+		return 0, err
+	}
+	at.run = run
+	return run.ResumeIter, nil
 }
 
 // loadGraph reads the spec's graph (this rank's slice for binary graphs),
@@ -416,25 +380,31 @@ func (w *worker) loadGraph(spec *JobSpec, lo, hi graph.VertexID, logf func(strin
 	if g, ok := w.graphCache[key]; ok {
 		return g, nil
 	}
-	f, err := os.Open(spec.GraphPath)
-	if err != nil {
-		return nil, fmt.Errorf("coord: open graph: %w", err)
-	}
-	defer func() { _ = f.Close() }() // read-only
 	var g *graph.Graph
+	var err error
 	if spec.GraphBinary {
-		g, err = graph.ReadBinarySlice(f, lo, hi)
+		g, err = loadSlice(spec.GraphPath, lo, hi)
 		if err == nil {
 			logf("loaded vertex slice [%d,%d): %d local edges", lo, hi, g.NumEdges())
 		}
 	} else {
-		g, err = graph.ReadEdgeList(f, spec.Undirected, 0)
+		g, err = graph.Open(spec.GraphPath, false, spec.Undirected)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("coord: load graph: %w", err)
 	}
 	w.graphCache[key] = g
 	return g, nil
+}
+
+// loadSlice reads vertices [lo,hi) of a binary graph file.
+func loadSlice(path string, lo, hi graph.VertexID) (*graph.Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = f.Close() }() // read-only
+	return graph.ReadBinarySlice(f, lo, hi)
 }
 
 // runAttempt brings up the data-plane mesh and runs the engine for one
@@ -452,7 +422,7 @@ func (w *worker) runAttempt(at *attempt) (*core.Result, error) {
 	}
 	at.ep.Store(ep)
 	defer func() { _ = ep.Close() }() // abort grace may have closed it already
-	res, err := core.RunNode(at.cfg, ep)
+	res, _, err := at.run.RunNode(ep)
 	if err != nil {
 		return nil, err
 	}

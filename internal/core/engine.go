@@ -260,45 +260,10 @@ func Run(cfg Config) (*Result, error) {
 		}
 		eps = guarded
 	}
-	numNodes := len(eps)
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	counters := cfg.Counters
-	if counters == nil {
-		counters = &stats.Counters{}
-	}
-
-	part, err := cfg.partition(numNodes)
+	nodes, res, counters, err := setUp(&cfg, eps, len(eps))
 	if err != nil {
 		return nil, err
 	}
-	res := newResult(&cfg)
-
-	setupStart := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
-	if cfg.Restore != nil {
-		// One process hosts every rank, so this process owns the whole
-		// result set: merge the result sections of every segment (one for a
-		// Run-written checkpoint, one per rank for a RunNode-written one).
-		restoreStart := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
-		ranks := make([]int, numNodes)
-		for i := range ranks {
-			ranks[i] = i
-		}
-		if err := applyRestoredResults(cfg.Restore, ranks, res, counters); err != nil {
-			return nil, err
-		}
-		counters.RestoreNanos.Add(time.Since(restoreStart).Nanoseconds()) //kk:nondet-ok telemetry-only timing; never feeds walk state
-	}
-	nodes := make([]*node, numNodes)
-	for rank := 0; rank < numNodes; rank++ {
-		n, err := newNode(rank, &cfg, part, eps[rank], counters, res, rank == 0)
-		if err != nil {
-			return nil, err
-		}
-		nodes[rank] = n
-	}
-	res.SetupDuration = time.Since(setupStart) //kk:nondet-ok telemetry-only timing; never feeds walk state
 
 	walkStart := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
 	var iterations atomic.Int64
@@ -318,16 +283,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.Iterations = int(iterations.Load())
 	res.LightIterations = int(lightIters.Load())
-
-	var msgs, bytes int64
-	for _, ep := range eps {
-		m, b := ep.Stats()
-		msgs += m
-		bytes += b
-	}
-	counters.Messages.Store(msgs)
-	counters.BytesSent.Store(bytes)
-	res.Counters = counters.Snapshot()
+	finishResult(res, counters, eps)
 	return res, nil
 }
 
@@ -347,50 +303,80 @@ func RunNode(cfg Config, ep transport.Endpoint) (*Result, error) {
 	ep = transport.WithExchangeTimeout(ep, cfg.NetTimeout)
 	cfg.Endpoints = nil
 	cfg.NumNodes = ep.Size()
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	counters := cfg.Counters
-	if counters == nil {
-		counters = &stats.Counters{}
-	}
-	part, err := cfg.partition(ep.Size())
+	eps := []transport.Endpoint{ep}
+	nodes, res, counters, err := setUp(&cfg, eps, ep.Size())
 	if err != nil {
 		return nil, err
 	}
-	res := newResult(&cfg)
-
-	setupStart := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
-	if cfg.Restore != nil {
-		// Each process owns only its rank's share of the results; merging
-		// exactly the rank-matching result section keeps cluster-wide sums
-		// correct without double counting across processes.
-		restoreStart := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
-		if err := applyRestoredResults(cfg.Restore, []int{ep.Rank()}, res, counters); err != nil {
-			return nil, err
-		}
-		counters.RestoreNanos.Add(time.Since(restoreStart).Nanoseconds()) //kk:nondet-ok telemetry-only timing; never feeds walk state
-	}
-	n, err := newNode(ep.Rank(), &cfg, part, ep, counters, res, true)
-	if err != nil {
-		return nil, err
-	}
-	res.SetupDuration = time.Since(setupStart) //kk:nondet-ok telemetry-only timing; never feeds walk state
 
 	walkStart := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
-	iters, light, runErr := n.run()
+	iters, light, runErr := nodes[0].run()
 	res.Duration = time.Since(walkStart) //kk:nondet-ok telemetry-only timing; never feeds walk state
 	if runErr != nil {
 		return nil, runErr
 	}
 	res.Iterations = iters
 	res.LightIterations = light
-
-	m, b := ep.Stats()
-	counters.Messages.Store(m)
-	counters.BytesSent.Store(b)
-	res.Counters = counters.Snapshot()
+	finishResult(res, counters, eps)
 	return res, nil
+}
+
+// setUp normalizes cfg for a run of size ranks and builds the nodes of
+// the ranks behind eps: every rank when one process hosts the run (Run),
+// this process's one rank under RunNode. A restore merges exactly the
+// result sections of those ranks (one section for a Run-written
+// checkpoint, one per rank for a RunNode-written one), so cluster-wide
+// sums never double count across processes.
+func setUp(cfg *Config, eps []transport.Endpoint, size int) ([]*node, *Result, *stats.Counters, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, nil, nil, err
+	}
+	counters := cfg.Counters
+	if counters == nil {
+		counters = &stats.Counters{}
+	}
+	part, err := cfg.partition(size)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	res := newResult(cfg)
+
+	setupStart := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
+	ranks := make([]int, len(eps))
+	for i, ep := range eps {
+		ranks[i] = ep.Rank()
+	}
+	if cfg.Restore != nil {
+		restoreStart := time.Now() //kk:nondet-ok telemetry-only timing; never feeds walk state
+		if err := applyRestoredResults(cfg.Restore, ranks, res, counters); err != nil {
+			return nil, nil, nil, err
+		}
+		counters.RestoreNanos.Add(time.Since(restoreStart).Nanoseconds()) //kk:nondet-ok telemetry-only timing; never feeds walk state
+	}
+	nodes := make([]*node, len(eps))
+	for i, ep := range eps {
+		n, err := newNode(ranks[i], cfg, part, ep, counters, res, i == 0)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		nodes[i] = n
+	}
+	res.SetupDuration = time.Since(setupStart) //kk:nondet-ok telemetry-only timing; never feeds walk state
+	return nodes, res, counters, nil
+}
+
+// finishResult folds the endpoints' traffic into the counters and takes
+// the result's post-join counter snapshot.
+func finishResult(res *Result, counters *stats.Counters, eps []transport.Endpoint) {
+	var msgs, bytes int64
+	for _, ep := range eps {
+		m, b := ep.Stats()
+		msgs += m
+		bytes += b
+	}
+	counters.Messages.Store(msgs)
+	counters.BytesSent.Store(bytes)
+	res.Counters = counters.Snapshot()
 }
 
 // normalize validates cfg and fills defaults.

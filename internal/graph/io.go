@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -16,6 +17,21 @@ import (
 // Lines starting with '#' or '%' are comments. Vertex IDs are dense
 // non-negative integers; the vertex count is max(id)+1 unless a larger
 // count is given.
+
+// Open loads the graph file at path: the binary CSR format when binary is
+// set, otherwise a text edge list, whose edges undirected stores in both
+// directions.
+func Open(path string, binary, undirected bool) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = f.Close() }() // read-only
+	if binary {
+		return ReadBinary(f)
+	}
+	return ReadEdgeList(f, undirected, 0)
+}
 
 // ReadEdgeList parses a text edge list. If undirected is true every edge is
 // stored in both directions. minVertices, if positive, forces at least that

@@ -12,7 +12,6 @@ import (
 	"knightking/internal/core"
 	"knightking/internal/gen"
 	"knightking/internal/graph"
-	"knightking/internal/obs/tracelog"
 )
 
 func node2vecConfig(g *graph.Graph) core.Config {
@@ -159,71 +158,6 @@ func TestCheckpointTelemetry(t *testing.T) {
 	rep := fmt.Sprintf("%v", reg.StragglerSkew())
 	if rep == "0" {
 		t.Error("straggler skew missing after checkpointed run")
-	}
-}
-
-// TestObservationKeepsZeroCopyMigration runs a 2-rank in-process biased
-// DeepWalk plain, with kkwalk's wiring (the registry as Observer with a
-// trace collector attached, the collector as Trace) and with kkserve's
-// wiring (one collector as Observer and Trace). Attaching observation must
-// change neither the walks nor the transport traffic — in-process
-// migrations stay on the zero-copy path instead of the byte codec — while
-// the trace still records every exchange with its per-peer deliveries.
-func TestObservationKeepsZeroCopyMigration(t *testing.T) {
-	g := gen.WithUniformWeights(gen.UniformDegree(400, 8, 11), 1, 4, 12)
-	config := func() core.Config {
-		return core.Config{
-			Graph:       g,
-			Algorithm:   alg.DeepWalk(20, true),
-			NumNodes:    2,
-			Workers:     2,
-			Seed:        5,
-			RecordPaths: true,
-		}
-	}
-	plain, err := core.Run(config())
-	if err != nil {
-		t.Fatalf("plain run: %v", err)
-	}
-
-	reg := NewRegistry(nil)
-	walkTrace := tracelog.New(tracelog.Options{Ranks: 2})
-	reg.SetTrace(walkTrace)
-	cfg := config()
-	cfg.Counters, cfg.Observer, cfg.Trace = reg.Counters(), reg, walkTrace
-	viaRegistry, err := core.Run(cfg)
-	if err != nil {
-		t.Fatalf("registry-observed run: %v", err)
-	}
-
-	serveTrace := tracelog.New(tracelog.Options{Ranks: 2})
-	cfg = config()
-	cfg.Observer, cfg.Trace = serveTrace, serveTrace
-	viaCollector, err := core.Run(cfg)
-	if err != nil {
-		t.Fatalf("collector-observed run: %v", err)
-	}
-
-	for _, run := range []struct {
-		name string
-		res  *core.Result
-		tc   *tracelog.Collector
-	}{{"kkwalk wiring", viaRegistry, walkTrace}, {"kkserve wiring", viaCollector, serveTrace}} {
-		assertSamePaths(t, run.name, plain.Paths, run.res.Paths)
-		if run.res.Counters.Messages != plain.Counters.Messages || run.res.Counters.BytesSent != plain.Counters.BytesSent {
-			t.Errorf("%s: %d messages / %d bytes sent, plain run %d / %d",
-				run.name, run.res.Counters.Messages, run.res.Counters.BytesSent,
-				plain.Counters.Messages, plain.Counters.BytesSent)
-		}
-		kinds := make(map[tracelog.Kind]int)
-		events, _ := run.tc.Events()
-		for _, ev := range events {
-			kinds[ev.Kind]++
-		}
-		if kinds[tracelog.KindExchange] == 0 || kinds[tracelog.KindExchangePeer] == 0 {
-			t.Errorf("%s: trace holds %d exchange and %d exchange-peer events, want both",
-				run.name, kinds[tracelog.KindExchange], kinds[tracelog.KindExchangePeer])
-		}
 	}
 }
 

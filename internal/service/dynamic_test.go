@@ -16,6 +16,7 @@ import (
 	"knightking/internal/dyngraph"
 	"knightking/internal/gen"
 	"knightking/internal/graph"
+	"knightking/internal/job"
 )
 
 // weightedService mounts a service with one weighted registered graph.
@@ -165,7 +166,7 @@ func TestIngestAndCompactEndpoints(t *testing.T) {
 // after the ingest observes the new epoch.
 func TestJobPinsAdmissionEpoch(t *testing.T) {
 	_, ts := weightedService(t, Config{Workers: 1})
-	spec := JobSpec{Graph: "w300", Spec: alg.Spec{Alg: "deepwalk", Biased: true, Length: 25}, Seed: 77, Walkers: 200}
+	spec := JobSpec{Graph: "w300", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Biased: true, Length: 25}, Seed: 77, Walkers: 200}}
 
 	// Control: the spec's result on epoch 0, with nothing else in flight.
 	var ctrl JobStatus
@@ -181,7 +182,7 @@ func TestJobPinsAdmissionEpoch(t *testing.T) {
 	}
 
 	// Occupy the single worker, queue the target behind it, then ingest.
-	blocker := JobSpec{Graph: "w300", Spec: alg.Spec{Alg: "deepwalk", Length: 100000}, Seed: 1, Walkers: 300}
+	blocker := JobSpec{Graph: "w300", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Length: 100000}, Seed: 1, Walkers: 300}}
 	var bst JobStatus
 	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", blocker, &bst); code != http.StatusAccepted {
 		t.Fatalf("POST blocker: status %d", code)
@@ -310,8 +311,8 @@ func TestTerminalJobsReleaseTheirEpoch(t *testing.T) {
 	}
 	ingest(250) // admit every job on an ingest epoch
 
-	short := JobSpec{Graph: "w300", Spec: alg.Spec{Alg: "deepwalk", Biased: true, Length: 10}, Seed: 1, Walkers: 50}
-	long := JobSpec{Graph: "w300", Spec: alg.Spec{Alg: "deepwalk", Length: 100000}, Seed: 2, Walkers: 300}
+	short := JobSpec{Graph: "w300", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Biased: true, Length: 10}, Seed: 1, Walkers: 50}}
+	long := JobSpec{Graph: "w300", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Length: 100000}, Seed: 2, Walkers: 300}}
 	failing := short
 	failing.CheckpointEvery = 1
 	admitted := map[*Job]EpochID{}

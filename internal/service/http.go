@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"strings"
 	"time"
 
@@ -84,20 +83,9 @@ func (s *Service) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "name and path are required")
 		return
 	}
-	f, err := os.Open(req.Path)
+	g, err := graph.Open(req.Path, req.Binary, req.Undirected)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "open graph: %v", err)
-		return
-	}
-	defer f.Close()
-	var g *graph.Graph
-	if req.Binary {
-		g, err = graph.ReadBinary(f)
-	} else {
-		g, err = graph.ReadEdgeList(f, req.Undirected, 0)
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse graph: %v", err)
+		writeError(w, http.StatusBadRequest, "load graph: %v", err)
 		return
 	}
 	info, err := s.Graphs.Register(req.Name, g)

@@ -5,9 +5,9 @@ import (
 	"sync"
 	"time"
 
-	"knightking/internal/alg"
 	"knightking/internal/dyngraph"
 	"knightking/internal/graph"
+	"knightking/internal/job"
 	"knightking/internal/obs/tracelog"
 	"knightking/internal/stats"
 )
@@ -37,24 +37,16 @@ func (s JobState) Terminal() bool {
 type JobSpec struct {
 	// Graph names a registered graph (required).
 	Graph string `json:"graph"`
-	// Spec is the walk program: alg (required) and its parameters, with
-	// the defaults alg.Spec.Normalize documents.
-	alg.Spec
-
-	// Seed pins the run; identical (graph, alg, params, seed, walkers)
-	// submissions return identical walk statistics.
-	Seed uint64 `json:"seed"`
-	// Walkers is the walker count (default |V| of the named graph).
-	Walkers int `json:"walkers,omitempty"`
+	// Spec is the walk program — alg (required) and its parameters, with
+	// the defaults alg.Spec.Normalize documents — and the run shape: seed,
+	// walkers (default |V| of the named graph), workers (default 4), and
+	// checkpoint_every, which with a service checkpoint root configured
+	// snapshots the job's walk state every N supersteps under
+	// <root>/<job-id>/ (0 disables). Identical (graph, alg, params, seed,
+	// walkers) submissions return identical walk statistics.
+	job.Spec
 	// Nodes is the simulated rank count (default 1).
 	Nodes int `json:"nodes,omitempty"`
-	// Workers is the per-rank worker goroutine count (default 4).
-	Workers int `json:"workers,omitempty"`
-
-	// CheckpointEvery, with a service checkpoint root configured, snapshots
-	// the job's walk state every N supersteps under <root>/<job-id>/
-	// (0 disables).
-	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 
 	// Trace enables causal tracing for the job: superstep/phase spans,
 	// exchange spans with peer attribution, and sampled walker journeys,
@@ -73,26 +65,20 @@ type JobSpec struct {
 // constructors would panic on, so a malformed submission is a 400, never
 // a dead scheduler worker.
 func (s *JobSpec) normalize(g *graph.Graph) error {
-	if err := s.Spec.Normalize(); err != nil {
+	if err := s.Spec.Resolve(g, ""); err != nil {
 		return err
 	}
 	if s.Biased && !g.Weighted() {
 		return fmt.Errorf("biased walk requires a weighted graph")
 	}
-	if s.Walkers < 0 || s.Nodes < 0 || s.Workers < 0 || s.CheckpointEvery < 0 {
-		return fmt.Errorf("walkers, nodes, workers, checkpoint_every must be non-negative")
+	if s.Nodes < 0 {
+		return fmt.Errorf("nodes %d must be non-negative", s.Nodes)
 	}
 	if s.TraceSample < 0 {
 		return fmt.Errorf("trace_sample %d must be non-negative", s.TraceSample)
 	}
-	if s.Walkers == 0 {
-		s.Walkers = g.NumVertices()
-	}
 	if s.Nodes == 0 {
 		s.Nodes = 1
-	}
-	if s.Workers == 0 {
-		s.Workers = 4
 	}
 	return nil
 }

@@ -8,10 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"knightking/internal/checkpoint"
 	"knightking/internal/core"
+	"knightking/internal/job"
 	"knightking/internal/obs"
-	"knightking/internal/obs/tracelog"
 	"knightking/internal/stats"
 )
 
@@ -26,10 +25,10 @@ var ErrUnknownJob = errors.New("service: unknown job")
 // scheduler runs submitted jobs through a bounded worker pool: admission
 // is a fixed-depth FIFO (a buffered channel, so ordering and backpressure
 // come from the runtime, not bookkeeping), and each of workers goroutines
-// executes one job at a time via core.Run. Every job gets its own
-// stats.Counters and cancel channel, so concurrent jobs sharing one
-// immutable *graph.Graph stay bit-deterministic and individually
-// abortable.
+// executes one job at a time through the job runner (internal/job). Every
+// job gets its own stats.Counters and cancel channel, so concurrent jobs
+// sharing one immutable *graph.Graph stay bit-deterministic and
+// individually abortable.
 type scheduler struct {
 	graphs         *GraphRegistry
 	queue          chan *Job
@@ -321,110 +320,51 @@ func (s *scheduler) runJob(j *Job) {
 		return
 	}
 	epoch := j.epoch
-	g := epoch.View()
 	j.state = StateRunning
 	j.started = time.Now()
-	counters := &stats.Counters{}
-	j.counters = counters
-	var tc *tracelog.Collector
-	if j.Spec.Trace {
-		tc = tracelog.New(tracelog.Options{
-			SampleEvery: j.Spec.TraceSample,
-			Ranks:       j.Spec.Nodes,
-			Job:         j.ID + " " + j.Spec.Alg,
-		})
-		j.trace = tc
+	wiring := job.Wiring{
+		Nodes: j.Spec.Nodes,
+		// The epoch's incrementally maintained alias rows; the engine
+		// uses them where they apply exactly and builds its own
+		// otherwise.
+		Samplers:    epoch,
+		Trace:       j.Spec.Trace,
+		TraceSample: j.Spec.TraceSample,
+		TraceLabel:  j.ID + " " + j.Spec.Alg,
+		Cancel:      j.cancel,
+	}
+	if s.checkpointRoot != "" && j.Spec.CheckpointEvery > 0 {
+		wiring.CheckpointDir = filepath.Join(s.checkpointRoot, j.ID)
+	}
+	run, err := job.Prepare(j.Spec.Spec, epoch.View(), wiring)
+	if err == nil {
+		j.counters = run.Counters
+		j.trace = run.Trace
+		j.ckptDir = wiring.CheckpointDir
 	}
 	wait := j.started.Sub(j.submitted)
 	j.mu.Unlock()
 	s.metrics.queueWaitNs.Observe(wait.Nanoseconds())
-
-	program, err := j.Spec.Build()
 	if err != nil {
-		s.finish(j, nil, err)
+		s.finish(j, nil, nil, err)
 		return
 	}
-	cfg := core.Config{
-		Graph:      g,
-		Algorithm:  program,
-		NumNodes:   j.Spec.Nodes,
-		Workers:    j.Spec.Workers,
-		NumWalkers: j.Spec.Walkers,
-		Seed:       j.Spec.Seed,
-		Counters:   counters,
-		Cancel:     j.cancel,
-		// The epoch's incrementally maintained alias rows; the engine
-		// uses them where they apply exactly and builds its own
-		// otherwise.
-		Samplers: epoch,
-	}
-	if tc != nil {
-		// One collector plays both roles: superstep spans via the observer
-		// hook, walker journeys via the tracer hook.
-		cfg.Observer = tc
-		cfg.Trace = tc
-	}
-	if s.checkpointRoot != "" && j.Spec.CheckpointEvery > 0 {
-		dir := filepath.Join(s.checkpointRoot, j.ID)
-		store, serr := checkpoint.NewStore(dir, j.Spec.CheckpointEvery, checkpoint.Meta{
-			Seed:        j.Spec.Seed,
-			NumWalkers:  uint64(j.Spec.Walkers),
-			NumVertices: uint64(g.NumVertices()),
-			Algorithm:   program.Name,
-		})
-		if serr != nil {
-			s.finish(j, nil, serr)
-			return
-		}
-		cfg.Checkpoint = store
-		j.mu.Lock()
-		j.ckptDir = dir
-		j.mu.Unlock()
-	}
-
-	res, err := s.run(cfg)
-	s.finish(j, res, err)
-}
-
-// run invokes core.Run, converting an engine panic (a malformed weight
-// distribution, say) into a job failure instead of a dead worker.
-func (s *scheduler) run(cfg core.Config) (res *core.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("engine panic: %v", r)
-		}
-	}()
-	return core.Run(cfg)
+	res, rep, err := run.Run()
+	s.finish(j, res, &rep, err)
 }
 
 // finish records a job's terminal state, folds its counters into the
 // service totals, and releases the job's pinned epoch.
-func (s *scheduler) finish(j *Job, res *core.Result, err error) {
+func (s *scheduler) finish(j *Job, res *core.Result, rep *stats.Report, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	g := j.epoch.View()
 	j.epoch = nil
 	j.finished = time.Now()
 	j.counters = nil
 	switch {
 	case err == nil:
 		j.state = StateDone
-		info := stats.RunInfo{
-			Algorithm:   j.Spec.Alg,
-			Ranks:       j.Spec.Nodes,
-			Walkers:     int64(j.Spec.Walkers),
-			Supersteps:  res.Iterations,
-			LightSupers: res.LightIterations,
-			Duration:    res.Duration,
-			Setup:       res.SetupDuration,
-		}
-		info.Vertices = g.NumVertices()
-		info.Edges = g.NumEdges()
-		rep := stats.NewReport(res.Counters, info)
-		if j.trace != nil {
-			rep.CriticalPath = j.trace.CriticalPath()
-		}
-		j.report = &rep
+		j.report = rep
 		j.lengths = walkLengths{Mean: res.Lengths.Mean(), Max: res.Lengths.Max()}
 		s.metrics.completed.Add(1)
 		s.foldEngine(res.Counters)

@@ -14,6 +14,7 @@ import (
 
 	"knightking/internal/alg"
 	"knightking/internal/gen"
+	"knightking/internal/job"
 )
 
 func writeFile(path, content string) error {
@@ -90,7 +91,7 @@ func awaitState(t *testing.T, base, id string, deadline time.Duration) JobStatus
 
 func TestSubmitRunFetchResult(t *testing.T) {
 	_, ts := testService(t, Config{})
-	spec := JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "node2vec", Length: 12, P: 2, Q: 0.5}, Seed: 42, Walkers: 100}
+	spec := JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "node2vec", Length: 12, P: 2, Q: 0.5}, Seed: 42, Walkers: 100}}
 
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", spec, &st); code != http.StatusAccepted {
@@ -125,7 +126,7 @@ func TestSubmitRunFetchResult(t *testing.T) {
 
 func TestIdenticalSubmissionsReturnIdenticalStatistics(t *testing.T) {
 	_, ts := testService(t, Config{Workers: 2})
-	spec := JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "deepwalk", Length: 20}, Seed: 99, Walkers: 150}
+	spec := JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Length: 20}, Seed: 99, Walkers: 150}}
 
 	ids := make([]string, 2)
 	for i := range ids {
@@ -164,7 +165,7 @@ func TestIdenticalSubmissionsReturnIdenticalStatistics(t *testing.T) {
 func TestCancelRunningJob(t *testing.T) {
 	_, ts := testService(t, Config{Workers: 1})
 	// A long walk over many walkers: plenty of supersteps to cancel into.
-	spec := JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "deepwalk", Length: 100000}, Seed: 7, Walkers: 200}
+	spec := JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Length: 100000}, Seed: 7, Walkers: 200}}
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", spec, &st); code != http.StatusAccepted {
 		t.Fatalf("POST /jobs: status %d", code)
@@ -196,12 +197,12 @@ func TestCancelRunningJob(t *testing.T) {
 func TestCancelQueuedJobAndDeleteRecord(t *testing.T) {
 	svc, ts := testService(t, Config{Workers: 1, QueueDepth: 8})
 	// Occupy the single worker, then queue a second job behind it.
-	blocker := JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "deepwalk", Length: 100000}, Seed: 1, Walkers: 200}
+	blocker := JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Length: 100000}, Seed: 1, Walkers: 200}}
 	var bst JobStatus
 	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", blocker, &bst); code != http.StatusAccepted {
 		t.Fatalf("POST blocker: status %d", code)
 	}
-	queued := JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "deepwalk", Length: 10}, Seed: 2, Walkers: 10}
+	queued := JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Length: 10}, Seed: 2, Walkers: 10}}
 	var qst JobStatus
 	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", queued, &qst); code != http.StatusAccepted {
 		t.Fatalf("POST queued: status %d", code)
@@ -233,7 +234,7 @@ func TestCancelQueuedJobAndDeleteRecord(t *testing.T) {
 
 func TestQueueOverflowReturns429(t *testing.T) {
 	_, ts := testService(t, Config{Workers: 1, QueueDepth: 1})
-	long := JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "deepwalk", Length: 100000}, Seed: 3, Walkers: 200}
+	long := JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Length: 100000}, Seed: 3, Walkers: 200}}
 
 	// First fills the worker, second fills the queue; keep submitting
 	// until the depth limit bites (the worker may dequeue in between).
@@ -277,13 +278,13 @@ func TestSubmitValidation(t *testing.T) {
 		name string
 		spec JobSpec
 	}{
-		{"unknown graph", JobSpec{Graph: "nope", Spec: alg.Spec{Alg: "deepwalk"}}},
-		{"unknown alg", JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "pagerank"}}},
-		{"negative length", JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "deepwalk", Length: -1}}},
-		{"ppr pt out of range", JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "ppr", Pt: 1.5}}},
-		{"node2vec negative p", JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "node2vec", P: -1}}},
-		{"bad metapath scheme", JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "metapath", Schemes: "a,b"}}},
-		{"biased on unweighted graph", JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "deepwalk", Biased: true}}},
+		{"unknown graph", JobSpec{Graph: "nope", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk"}}}},
+		{"unknown alg", JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "pagerank"}}}},
+		{"negative length", JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Length: -1}}}},
+		{"ppr pt out of range", JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "ppr", Pt: 1.5}}}},
+		{"node2vec negative p", JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "node2vec", P: -1}}}},
+		{"bad metapath scheme", JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "metapath", Schemes: "a,b"}}}},
+		{"biased on unweighted graph", JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Biased: true}}}},
 	}
 	for _, tc := range cases {
 		var body map[string]string
@@ -309,8 +310,8 @@ func TestSubmitFillsWalkDefaults(t *testing.T) {
 	if !ok {
 		t.Fatalf("job %s not found", st.ID)
 	}
-	if want := (alg.Spec{Alg: "node2vec", Length: 5, P: 2, Q: 0.5}); j.Spec.Spec != want {
-		t.Fatalf("stored spec %+v, want %+v", j.Spec.Spec, want)
+	if want := (alg.Spec{Alg: "node2vec", Length: 5, P: 2, Q: 0.5}); j.Spec.Spec.Spec != want {
+		t.Fatalf("stored spec %+v, want %+v", j.Spec.Spec.Spec, want)
 	}
 }
 
@@ -370,7 +371,7 @@ func TestGraphEndpointsAndRegistryConflict(t *testing.T) {
 
 func TestMetricsAndStatusz(t *testing.T) {
 	_, ts := testService(t, Config{})
-	spec := JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "ppr"}, Seed: 5, Walkers: 50}
+	spec := JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "ppr"}, Seed: 5, Walkers: 50}}
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", spec, &st); code != http.StatusAccepted {
 		t.Fatalf("POST /jobs: status %d", code)

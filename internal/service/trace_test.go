@@ -10,6 +10,7 @@ import (
 
 	"knightking/internal/alg"
 	"knightking/internal/gen"
+	"knightking/internal/job"
 )
 
 // getRaw fetches a URL returning status, content type, and raw body.
@@ -36,8 +37,8 @@ func getRaw(t *testing.T, url string) (int, string, []byte) {
 func TestTracedJobEndToEnd(t *testing.T) {
 	_, ts := testService(t, Config{})
 	spec := JobSpec{
-		Graph: "uni200", Spec: alg.Spec{Alg: "node2vec", Length: 16, P: 2, Q: 0.5},
-		Seed: 3, Walkers: 120, Nodes: 2,
+		Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "node2vec", Length: 16, P: 2, Q: 0.5},
+			Seed: 3, Walkers: 120}, Nodes: 2,
 		Trace: true, TraceSample: 8,
 	}
 	var st JobStatus
@@ -177,7 +178,7 @@ func TestTraceEndpointStates(t *testing.T) {
 		t.Errorf("unknown job trace: status %d, want 404", code)
 	}
 
-	spec := JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "deepwalk", Length: 4}, Seed: 1, Walkers: 20}
+	spec := JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Length: 4}, Seed: 1, Walkers: 20}}
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", spec, &st); code != http.StatusAccepted {
 		t.Fatalf("POST /jobs: status %d", code)
@@ -188,7 +189,7 @@ func TestTraceEndpointStates(t *testing.T) {
 		t.Errorf("untraced job trace: status %d body %s", code, body)
 	}
 
-	bad := JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "deepwalk"}, Seed: 1, Trace: true, TraceSample: -1}
+	bad := JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk"}, Seed: 1}, Trace: true, TraceSample: -1}
 	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", bad, nil); code != http.StatusBadRequest {
 		t.Errorf("negative trace_sample: status %d, want 400", code)
 	}
@@ -198,7 +199,7 @@ func TestTraceEndpointStates(t *testing.T) {
 // queue-wait histogram and the per-state job gauge.
 func TestServeMetricsTraceSatellites(t *testing.T) {
 	_, ts := testService(t, Config{})
-	spec := JobSpec{Graph: "uni200", Spec: alg.Spec{Alg: "deepwalk", Length: 4}, Seed: 9, Walkers: 30}
+	spec := JobSpec{Graph: "uni200", Spec: job.Spec{Spec: alg.Spec{Alg: "deepwalk", Length: 4}, Seed: 9, Walkers: 30}}
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", spec, &st); code != http.StatusAccepted {
 		t.Fatalf("POST /jobs: status %d", code)
