@@ -13,14 +13,10 @@ vet:
 # kklint enforces the engine's written contracts (see CONTRIBUTING.md
 # "Contract checking with kklint"): determinism, payload ownership, atomic
 # counters, the zero-alloc //kk:hotpath set, //kk:phase discipline,
-# goroutine joins, and error handling. Three passes: vet-mode over the
-# non-test code, standalone -tests over the test variants (what CI runs),
-# and the -waivers audit, which fails on stale or reasonless waivers.
+# goroutine joins, and error handling. One pass covers every package and
+# its test variants, and fails on stale waivers too.
 lint:
-	go build -o bin/kklint ./cmd/kklint
-	go vet -vettool=$(CURDIR)/bin/kklint ./...
-	go run ./cmd/kklint -tests ./...
-	go run ./cmd/kklint -waivers ./... >/dev/null
+	go run ./cmd/kklint ./...
 
 test:
 	go test ./...

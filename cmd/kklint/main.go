@@ -2,30 +2,27 @@
 // detrand, payloadown, atomiccounter, hotalloc, barrierphase, goroleak,
 // and errdrop analyzers (see internal/lint).
 //
-// Two ways to run it:
+// Run it from the module root:
 //
-//	kklint ./...                         # standalone, from the module root
-//	go vet -vettool=$(pwd)/bin/kklint ./...   # as a vet tool (make lint)
+//	go run ./cmd/kklint ./...
 //
-// Standalone flags:
+// One pass analyzes every package together with its test variants
+// (regular + _test.go files and external test packages) and fails on
+// stale //kk:*-ok waivers — markers that no longer suppress anything.
 //
-//	-waivers   also print every accepted //kk:*-ok waiver, and fail when
-//	           a waiver marker no longer suppresses any diagnostic
-//	-tests     analyze test variants too (regular + _test.go files and
-//	           external test packages), like `go vet` does
+// Flags:
+//
+//	-waivers   also print every accepted //kk:*-ok waiver with its reason
 //
 // Exit status: 0 clean, 1 findings or stale waivers, 2 usage/load errors
 // (including package patterns that match nothing).
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"knightking/internal/lint/analysis"
 	"knightking/internal/lint/atomiccounter"
@@ -54,39 +51,14 @@ func main() {
 	os.Exit(runMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// runMain is main with the process edges injected, so the vet handshake
-// and exit-code contract are testable.
+// runMain is main with the process edges injected, so the exit-code
+// contract is testable.
 func runMain(args []string, stdout, stderr io.Writer) int {
-	// The go vet handshake: `kklint -V=full` prints a versioned build ID,
-	// `kklint -flags` lists the tool's analyzer flags (none), and a single
-	// *.cfg argument means cmd/go is driving one compilation unit.
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full" || args[0] == "--V=full":
-			printVersion(stdout)
-			return 0
-		case args[0] == "-flags" || args[0] == "--flags":
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			code := driver.Unitchecker(analyzers(), args[0], stderr)
-			if code == 1 {
-				return 1
-			}
-			if code != 0 {
-				return 2
-			}
-			return 0
-		}
-	}
-
 	fs := flag.NewFlagSet("kklint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	waivers := fs.Bool("waivers", false,
-		"print accepted //kk:*-ok waivers after the diagnostics and fail on stale waiver markers")
-	tests := fs.Bool("tests", false, "analyze test variants (regular + _test.go files) too")
+	waivers := fs.Bool("waivers", false, "print accepted //kk:*-ok waivers after the diagnostics")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: kklint [-waivers] [-tests] [packages]\n")
+		fmt.Fprintf(stderr, "usage: kklint [-waivers] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -96,23 +68,5 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	opts := driver.Options{Waivers: *waivers, Tests: *tests}
-	return driver.Standalone(analyzers(), patterns, opts, stdout, stderr)
-}
-
-// printVersion emits the line cmd/go's toolID parser expects from a
-// vettool: `name version devel ... buildID=<content id>`, where the
-// content id fingerprints this binary so vet results are cached per
-// build of the checker.
-func printVersion(out io.Writer) {
-	name := filepath.Base(os.Args[0])
-	name = strings.TrimSuffix(name, ".exe")
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			id = fmt.Sprintf("%x", sum[:12])
-		}
-	}
-	fmt.Fprintf(out, "%s version devel comments-go-here buildID=%s\n", name, id)
+	return driver.Standalone(analyzers(), patterns, driver.Options{Waivers: *waivers}, stdout, stderr)
 }

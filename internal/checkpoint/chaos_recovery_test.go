@@ -64,9 +64,9 @@ func TestChaosDelaysGoldenSecondOrder(t *testing.T) {
 	assertSameWalk(t, golden, mustRun(t, cfg))
 }
 
-// chaosCrashAndResume is crashAndResume with a chaos disconnect instead of
-// a bare Faulty wrapper: rank 1 drops off the network at its failAt-th
-// exchange, under timing chaos on every rank.
+// chaosCrashAndResume is crashAndResume under timing chaos on every rank:
+// rank 1 drops off the network at its failAt-th exchange while every
+// rank's exchanges are randomly delayed.
 func chaosCrashAndResume(t *testing.T, cfg core.Config, store *Store, failAt int) *core.Result {
 	t.Helper()
 

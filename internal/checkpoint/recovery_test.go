@@ -18,6 +18,7 @@ import (
 	"knightking/internal/graph"
 	"knightking/internal/stats"
 	"knightking/internal/transport"
+	"knightking/internal/transport/chaos"
 )
 
 const testNodes = 3
@@ -127,7 +128,7 @@ func crashAndResume(t *testing.T, cfg core.Config, store *Store, failAt int) *co
 	t.Helper()
 
 	eps := transport.NewInProcGroup(cfg.NumNodes)
-	victim := transport.NewFaulty(eps[1], failAt)
+	victim := chaos.Wrap(eps[1], chaos.Config{DisconnectAt: failAt})
 	eps[1] = victim
 	crashCfg := cfg
 	crashCfg.Endpoints = eps
@@ -135,7 +136,7 @@ func crashAndResume(t *testing.T, cfg core.Config, store *Store, failAt int) *co
 	if _, err := core.Run(crashCfg); err == nil {
 		t.Fatal("run survived the injected crash")
 	}
-	if !victim.Fired() {
+	if len(victim.Events()) == 0 {
 		t.Fatalf("walk finished before the injected fault at exchange %d; lengthen it", failAt)
 	}
 

@@ -12,6 +12,7 @@ import (
 	"knightking/internal/core"
 	"knightking/internal/gen"
 	"knightking/internal/transport"
+	"knightking/internal/transport/chaos"
 )
 
 // TestCrashResumeInterleavedFirstOrder crashes an interleaved run mid-walk
@@ -69,7 +70,7 @@ func TestCrossSteppingResume(t *testing.T) {
 			store := newStore(t, &cfg, 4)
 
 			eps := transport.NewInProcGroup(testNodes)
-			victim := transport.NewFaulty(eps[1], 13)
+			victim := chaos.Wrap(eps[1], chaos.Config{DisconnectAt: 13})
 			eps[1] = victim
 			crashCfg := cfg
 			crashCfg.Endpoints = eps
@@ -77,7 +78,7 @@ func TestCrossSteppingResume(t *testing.T) {
 			if _, err := core.Run(crashCfg); err == nil {
 				t.Fatal("run survived the injected crash")
 			}
-			if !victim.Fired() {
+			if len(victim.Events()) == 0 {
 				t.Fatal("walk finished before the injected fault")
 			}
 

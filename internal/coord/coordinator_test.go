@@ -238,7 +238,7 @@ func TestCoordinatorRejectsVersionMismatch(t *testing.T) {
 		err error
 	}
 	runc := make(chan runResult, 1)
-	go func() { //kk:goro-ok joined out of band: the test receives its result from runc before returning
+	go func() {
 		sum, err := c.Run()
 		runc <- runResult{sum, err}
 	}()

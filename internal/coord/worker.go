@@ -99,12 +99,6 @@ func (at *attempt) OnSuperstep(span core.SuperstepSpan) {
 	at.walkers.Store(span.GlobalWalkers)
 }
 
-// ObserveStepTrials implements core.Observer; heartbeats need no trials.
-func (at *attempt) ObserveStepTrials(int64) {}
-
-// ObserveQueryBatch implements core.Observer.
-func (at *attempt) ObserveQueryBatch(int64) {}
-
 // abort requests aligned cancellation once.
 func (at *attempt) abort() {
 	at.once.Do(func() { close(at.cancel) })

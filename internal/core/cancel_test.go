@@ -22,8 +22,6 @@ func (o *cancelAtObserver) OnSuperstep(span SuperstepSpan) {
 		o.once.Do(func() { close(o.cancel) })
 	}
 }
-func (o *cancelAtObserver) ObserveStepTrials(int64) {}
-func (o *cancelAtObserver) ObserveQueryBatch(int64) {}
 
 func TestCancelPreClosedChannelAbortsFirstBarrier(t *testing.T) {
 	cancel := make(chan struct{})

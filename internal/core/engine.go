@@ -127,9 +127,9 @@ type Config struct {
 	// Counters receives engine counters (optional; Result always carries a
 	// snapshot).
 	Counters *stats.Counters
-	// Observer receives per-superstep span records and sampling/query
-	// observations (see observer.go). Nil disables telemetry; observations
-	// never touch walker RNG streams, so enabling it cannot change walk
+	// Observer receives per-superstep span records (see observer.go). Nil
+	// disables spans and the stage-time clock reads behind them; spans
+	// never touch walker RNG streams, so enabling them cannot change walk
 	// output.
 	Observer Observer
 	// Trace receives the causal trace of the run: the step decisions, rank
@@ -1196,8 +1196,9 @@ func (n *node) decideStep(w *Walker, deg int, row []sampling.AliasEntry, rj *sam
 		// rejection step, no Pd evaluations (paper: "executes its unified
 		// sampling workflow, but without actually performing rejection
 		// sampling"). An alias draw reads its destination off the row.
-		bc.trials++
-		n.observeStep(w, 1)
+		// The step's one dart is counted by oneDartSteps alone.
+		bc.oneDartSteps++
+		n.traceStep(w, 1)
 		if row == nil {
 			return actMove, n.g.Neighbors(w.Cur)[w.R.Intn(deg)]
 		}
@@ -1236,14 +1237,14 @@ func (n *node) decideStep(w *Walker, deg int, row []sampling.AliasEntry, rj *sam
 			bc.edgeProbEvals++
 			prob := rj.AppendixAcceptProb(p, float64(n.alg.staticWeight(n.g, w.Cur, idx)), pd)
 			if w.R.Bernoulli(prob) {
-				n.observeStep(w, int64(trials)+1)
+				n.observeStep(w, int64(trials)+1, bc)
 				return actMove, e.Dst
 			}
 			continue
 		}
 		if p.PreAccepted {
 			bc.preAccepts++
-			n.observeStep(w, int64(trials)+1)
+			n.observeStep(w, int64(trials)+1, bc)
 			return actMove, n.g.Neighbors(w.Cur)[p.EdgeIdx]
 		}
 		e := n.g.EdgeAt(w.Cur, p.EdgeIdx)
@@ -1260,7 +1261,7 @@ func (n *node) decideStep(w *Walker, deg int, row []sampling.AliasEntry, rj *sam
 		pd := n.alg.EdgeDynamicComp(w, e, 0, false)
 		bc.edgeProbEvals++
 		if rj.AcceptMain(p, pd) {
-			n.observeStep(w, int64(trials)+1)
+			n.observeStep(w, int64(trials)+1, bc)
 			return actMove, e.Dst
 		}
 	}
@@ -1305,15 +1306,19 @@ func (n *node) applyAction(w *Walker, act action, dst graph.VertexID, st *worker
 	panic(fmt.Sprintf("core: unknown step action %d", act)) //kk:alloc-ok panic path: an unknown step action is an engine bug, never steady state
 }
 
-// observeStep reports an accepted step's trial burst to telemetry and (for
-// sampled walkers) the causal trace; neither consumes walker RNG. The trace
-// event fires at acceptance, while the walker still resides at the deciding
-// vertex, so every stepping strategy and the phase-C resolution path emit
-// through this one site.
-func (n *node) observeStep(w *Walker, trials int64) {
-	if n.obs != nil {
-		n.obs.ObserveStepTrials(trials)
-	}
+// observeStep counts an accepted step's trial burst into the worker's
+// trials-per-step distribution and traces it.
+func (n *node) observeStep(w *Walker, trials int64, bc *batchCounters) {
+	bc.stepTrials.Observe(trials)
+	n.traceStep(w, trials)
+}
+
+// traceStep reports an accepted step's trial burst to the causal trace
+// (for sampled walkers); it consumes no walker RNG. The event fires at
+// acceptance, while the walker still resides at the deciding vertex, so
+// every stepping strategy and the phase-C resolution path emit through
+// this one site.
+func (n *node) traceStep(w *Walker, trials int64) {
 	if n.tracer != nil {
 		n.traceWalkerEvent(w, WalkerStep, w.Cur, int32(trials), -1)
 	}
@@ -1347,7 +1352,7 @@ func (n *node) fullScanChoose(w *Walker, deg int, st *workerState, trials int64)
 		panic(fmt.Sprintf("core: full-scan fallback at vertex %d: %v", w.Cur, err)) //kk:alloc-ok panic path: invalid full-scan weights abort the run, never steady state
 	}
 	bc.trials++
-	n.observeStep(w, trials)
+	n.observeStep(w, trials, bc)
 	return n.g.Neighbors(w.Cur)[st.scanITS.Sample(&w.R)], true
 }
 
@@ -1434,10 +1439,9 @@ func (n *node) phaseB(queryMsgs []transport.Message, light bool) error {
 		if len(m.Payload)%queryRecordLen != 0 {
 			return fmt.Errorf("core: malformed query batch (%d bytes)", len(m.Payload))
 		}
-		total += len(m.Payload) / queryRecordLen
-		if n.obs != nil {
-			n.obs.ObserveQueryBatch(int64(len(m.Payload) / queryRecordLen))
-		}
+		records := len(m.Payload) / queryRecordLen
+		total += records
+		n.counters.QueryBatch.Observe(int64(records))
 	}
 	if total == 0 {
 		return nil
@@ -1575,7 +1579,7 @@ func (n *node) applyResponses(payload []byte, st *workerState) error {
 			// next superstep — the paper's "less fortunate ones stuck at their
 			// current vertex for the next iteration".
 			if n.rejectionOf(w.Cur).AcceptMain(sampling.Proposal{EdgeIdx: int(w.pendingEdge), Appendix: -1, Y: w.pendingY}, pd) {
-				n.observeStep(w, 1)
+				n.observeStep(w, 1, &st.counters)
 				n.applyAction(w, actMove, es[j].Dst, st)
 			}
 		}

@@ -1,7 +1,8 @@
-// Engine-side telemetry hooks. The engine emits observations through the
-// Observer interface when Config.Observer is set; a nil observer costs one
-// predictable branch per observation point, and no observation ever touches
-// a walker's RNG stream, so enabling telemetry cannot change walk output.
+// Engine-side telemetry hooks. The engine emits one span per rank per
+// superstep through the Observer interface when Config.Observer is set; a
+// nil observer also skips the stage-time clock reads, and no observation
+// ever touches a walker's RNG stream, so enabling telemetry cannot change
+// walk output.
 // internal/obs provides the production implementation (histograms, span
 // log, admin server); the engine only defines the contract.
 package core
@@ -65,22 +66,17 @@ type SuperstepSpan struct {
 	UpdateNanos int64 `json:"update_ns,omitempty"`
 }
 
-// Observer receives engine telemetry. Implementations must be safe for
-// concurrent use: OnSuperstep is called by every rank's loop goroutine, and
-// the Observe methods are called from worker goroutines inside a superstep.
+// Observer receives engine telemetry: one span per rank per superstep.
+// Implementations must be safe for concurrent use, since every rank's
+// loop goroutine calls OnSuperstep. Per-step and per-message
+// distributions (trials per step, query batch sizes) are not observer
+// calls: the engine counts them into stats.Counters alongside Trials and
+// Steps, flushed once per phase.
 //
-// Observations are passive — they must not block (the engine calls them on
-// hot paths) and they see engine state only through their arguments.
+// Observations are passive — they must not block (the engine calls them
+// at every barrier) and they see engine state only through their
+// arguments.
 type Observer interface {
 	// OnSuperstep delivers one rank's completed superstep span.
 	OnSuperstep(span SuperstepSpan)
-	// ObserveStepTrials records the rejection-sampling darts a walker threw
-	// in the burst that completed one step (1 for static walks and
-	// pre-accepted darts; higher under rejection pressure). Only called for
-	// accepted steps, so the histogram's count approximates Steps.
-	ObserveStepTrials(trials int64)
-	// ObserveQueryBatch records the record count of one incoming state-query
-	// batch at the start of phase B — the paper's walker-to-vertex query
-	// traffic, per (sender, receiver) pair per superstep.
-	ObserveQueryBatch(records int64)
 }

@@ -82,15 +82,24 @@ func newWorkerState(eps int) *workerState {
 // folds them into the shared atomic counters once per phase. The hot path
 // previously paid two contended atomic adds per step (false sharing across
 // workers); now it pays plain increments plus a handful of atomic adds per
-// superstep.
+// superstep. The trials-per-step distribution rides along the same way;
+// a static step, always one dart, bumps oneDartSteps alone, which flush
+// folds into both Trials and the distribution.
 type batchCounters struct {
 	trials, preAccepts, appendixHits, edgeProbEvals int64
 	queries, steps, restarts, terminations          int64
+	oneDartSteps                                    int64
+	stepTrials                                      stats.Pow2Counts
 }
 
 //
 //kk:hotpath
 func (bc *batchCounters) flush(c *stats.Counters) {
+	if bc.oneDartSteps != 0 {
+		bc.trials += bc.oneDartSteps
+		bc.stepTrials.ObserveN(1, bc.oneDartSteps)
+		bc.oneDartSteps = 0
+	}
 	if bc.trials != 0 {
 		c.Trials.Add(bc.trials)
 		bc.trials = 0
@@ -122,6 +131,10 @@ func (bc *batchCounters) flush(c *stats.Counters) {
 	if bc.terminations != 0 {
 		c.Terminations.Add(bc.terminations)
 		bc.terminations = 0
+	}
+	if bc.stepTrials.Count != 0 {
+		c.StepTrials.Add(&bc.stepTrials)
+		bc.stepTrials = stats.Pow2Counts{}
 	}
 }
 

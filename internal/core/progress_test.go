@@ -20,8 +20,6 @@ func (l *spanLog) OnSuperstep(span SuperstepSpan) {
 	l.spans = append(l.spans, span)
 	l.mu.Unlock()
 }
-func (l *spanLog) ObserveStepTrials(int64) {}
-func (l *spanLog) ObserveQueryBatch(int64) {}
 
 // TestOnProgressReportsBarriers: an observer sees one span per superstep
 // per rank, each rank's in increasing superstep order, the final span

@@ -29,8 +29,6 @@ func (p *progress) OnSuperstep(span core.SuperstepSpan) {
 	p.superstep = span.Iteration
 	p.mu.Unlock()
 }
-func (p *progress) ObserveStepTrials(int64) {}
-func (p *progress) ObserveQueryBatch(int64) {}
 
 // outcome is what a front end gets back from one run.
 type outcome struct {

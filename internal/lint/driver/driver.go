@@ -1,24 +1,17 @@
 // Package driver loads type-checked packages and runs the kklint
-// analyzers over them, in two modes:
-//
-//   - Standalone: `kklint ./...` — shells out to `go list -export -deps`
-//     for package metadata and export data, type-checks each target
-//     package against the gc export files, and prints diagnostics. This
-//     is the developer loop and what `make lint` wraps via go vet.
-//   - Unitchecker (unitchecker.go): invoked by `go vet -vettool=kklint`
-//     once per package with a vet.cfg JSON file.
-//
-// Both modes use only the standard library: the repo has no external
-// dependencies, so the usual x/tools loaders are reimplemented here on
-// top of go/importer.
+// analyzers over them: Standalone shells out to `go list -export -deps
+// -test` for package metadata and export data, type-checks each target
+// package (test variants included) against the gc export files, prints
+// diagnostics, and audits waivers. It uses only the standard library:
+// the repo has no external dependencies, so the usual x/tools loaders are
+// reimplemented here on top of go/importer.
 //
 // Cross-package facts: interprocedural analyzers (hotalloc) export a
 // per-package JSON blob and read the blobs of the packages they import.
 // Standalone exploits `go list -deps` dependency ordering to propagate
 // the blobs in-memory — module dependencies outside the requested
 // patterns are analyzed facts-only (diagnostics suppressed) so callers
-// always see their callees' contracts. Unitchecker carries the blobs in
-// the vetx files cmd/go threads between compilation units.
+// always see their callees' contracts.
 package driver
 
 import (
@@ -57,14 +50,8 @@ type Waiver struct {
 
 // Options selects Standalone's optional behaviors.
 type Options struct {
-	// Waivers prints every accepted waiver after the diagnostics and
-	// fails the run when a waiver marker in the analyzed files no longer
-	// suppresses any diagnostic (a stale waiver).
+	// Waivers prints every accepted waiver after the diagnostics.
 	Waivers bool
-	// Tests analyzes test variants: `go list -test` replaces each package
-	// that has tests with its "pkg [pkg.test]" variant (regular + test
-	// files) and adds the external "pkg_test" package.
-	Tests bool
 }
 
 // facts is the cross-package blob store: analyzer name → canonical
@@ -72,11 +59,10 @@ type Options struct {
 type facts map[string]map[string][]byte
 
 // factsOnly filters analyzers down to the ones that export cross-package
-// facts. Dependency-only units (standalone deps outside the requested
-// patterns, vet's VetxOnly units — including the standard library) run
-// only these: downstream packages still see their callees' contracts,
-// and non-fact analyzers never run over code that was never a lint
-// target.
+// facts. Dependency-only units (module deps outside the requested
+// patterns) run only these: downstream packages still see their callees'
+// contracts, and non-fact analyzers never run over code that was never a
+// lint target.
 func factsOnly(analyzers []*analysis.Analyzer) []*analysis.Analyzer {
 	var out []*analysis.Analyzer
 	for _, a := range analyzers {
@@ -150,17 +136,16 @@ type listPkg struct {
 	Error      *struct{ Err string }
 }
 
-// Standalone runs the analyzers over the packages matched by patterns.
-// Diagnostics and (optionally) recorded waivers go to out; loader errors
-// to errw. Returns the process exit code: 0 clean, 1 findings (or stale
-// waivers), 2 errors — including patterns that match no packages.
+// Standalone runs the analyzers over the packages matched by patterns and
+// their test variants: `go list -test` replaces each package that has
+// tests with its "pkg [pkg.test]" variant (regular + test files) and adds
+// the external "pkg_test" package. Diagnostics, stale waivers and
+// (optionally) accepted waivers go to out; loader errors to errw. Returns
+// the process exit code: 0 clean, 1 findings or stale waivers, 2 errors —
+// including patterns that match no packages.
 func Standalone(analyzers []*analysis.Analyzer, patterns []string, opts Options, out, errw io.Writer) int {
-	args := []string{"list", "-export", "-deps"}
-	if opts.Tests {
-		args = append(args, "-test")
-	}
-	args = append(args,
-		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,ForTest,ImportMap,Error")
+	args := []string{"list", "-export", "-deps", "-test",
+		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,ForTest,ImportMap,Error"}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = errw
@@ -294,19 +279,18 @@ func Standalone(analyzers []*analysis.Analyzer, patterns []string, opts Options,
 		fmt.Fprintf(out, "%s: %s (%s)\n", d.Pos, d.Message, d.Analyzer)
 		code = 1
 	}
-	if opts.Waivers {
-		if staleCode := auditWaivers(fset, targetFiles, allWaivers, out); staleCode != 0 && code == 0 {
-			code = staleCode
-		}
+	if staleCode := auditWaivers(fset, targetFiles, allWaivers, opts.Waivers, out); staleCode != 0 && code == 0 {
+		code = staleCode
 	}
 	return code
 }
 
-// auditWaivers prints the accepted waivers (deduplicated — two findings
-// can share one comment) and flags every waiver-marker comment in the
-// analyzed files that no analyzer accepted: a stale waiver suppresses
-// nothing and must be removed. Returns 1 when stale waivers exist.
-func auditWaivers(fset *token.FileSet, files []*ast.File, accepted []Waiver, out io.Writer) int {
+// auditWaivers flags every waiver-marker comment in the analyzed files
+// that no analyzer accepted — a stale waiver suppresses nothing and must
+// be removed — and, with list set, first prints the accepted waivers
+// (deduplicated: two findings can share one comment). Returns 1 when
+// stale waivers exist.
+func auditWaivers(fset *token.FileSet, files []*ast.File, accepted []Waiver, list bool, out io.Writer) int {
 	acceptedAt := make(map[string]bool)
 	var uniq []Waiver
 	for _, w := range accepted {
@@ -316,9 +300,11 @@ func auditWaivers(fset *token.FileSet, files []*ast.File, accepted []Waiver, out
 			uniq = append(uniq, w)
 		}
 	}
-	sort.Slice(uniq, func(i, j int) bool { return posLess(uniq[i].Pos, uniq[j].Pos) })
-	for _, w := range uniq {
-		fmt.Fprintf(out, "%s: waived: [%s] %s\n", w.Pos, w.Marker, w.Reason)
+	if list {
+		sort.Slice(uniq, func(i, j int) bool { return posLess(uniq[i].Pos, uniq[j].Pos) })
+		for _, w := range uniq {
+			fmt.Fprintf(out, "%s: waived: [%s] %s\n", w.Pos, w.Marker, w.Reason)
+		}
 	}
 
 	var stale []Waiver
@@ -370,8 +356,8 @@ func (e exportImporter) Import(path string) (*types.Package, error) {
 
 // stripVariant normalizes a test-variant import path like
 // "knightking/internal/core [knightking/internal/core.test]" to the plain
-// package path, so detrand's deterministic-set lookup matches when go vet
-// analyzes test variants.
+// package path, so scope-gated analyzers (detrand's deterministic set,
+// goroleak's engine scope) match test variants.
 func stripVariant(path string) string {
 	if i := strings.Index(path, " ["); i >= 0 {
 		return path[:i]

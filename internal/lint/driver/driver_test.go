@@ -2,18 +2,11 @@ package driver
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"knightking/internal/lint/analysis"
-	"knightking/internal/lint/goroleak"
-	"knightking/internal/lint/hotalloc"
 )
 
-// TestStripVariant pins the normalization of `go list -test` and vet.cfg
+// TestStripVariant pins the normalization of `go list -test`
 // import-path spellings to the canonical package path analyzers compare
 // against.
 func TestStripVariant(t *testing.T) {
@@ -44,105 +37,5 @@ func TestStandaloneNoMatch(t *testing.T) {
 	}
 	if !strings.Contains(errw.String(), "no packages match") {
 		t.Errorf("stderr %q does not explain the empty match", errw.String())
-	}
-}
-
-// unitCfg writes a minimal vet.cfg for one dependency-free compilation
-// unit and returns the config path and the vetx output path.
-func unitCfg(t *testing.T, importPath, pkgFile string, src string, vetxOnly bool, packageVetx map[string]string) (string, string) {
-	t.Helper()
-	dir := t.TempDir()
-	goFile := filepath.Join(dir, pkgFile)
-	if err := os.WriteFile(goFile, []byte(src), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	vetx := filepath.Join(dir, "out.vetx")
-	cfg := vetConfig{
-		ID:          importPath,
-		Compiler:    "gc",
-		Dir:         dir,
-		ImportPath:  importPath,
-		GoFiles:     []string{goFile},
-		ImportMap:   map[string]string{},
-		PackageFile: map[string]string{},
-		PackageVetx: packageVetx,
-		VetxOnly:    vetxOnly,
-		VetxOutput:  vetx,
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgFile := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfgFile, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return cfgFile, vetx
-}
-
-// TestUnitcheckerVariantNormalization proves the test-variant spelling
-// cmd/go uses for internal test packages — "X [X.test]" — reaches
-// scope-gated analyzers as the plain path X: goroleak is scoped to
-// knightking/internal/core and must still fire on the variant unit.
-func TestUnitcheckerVariantNormalization(t *testing.T) {
-	const src = `package core
-
-func leak() {
-	ch := make(chan int)
-	go func() { ch <- 1 }()
-}
-`
-	variant := "knightking/internal/core [knightking/internal/core.test]"
-	cfgFile, _ := unitCfg(t, variant, "leak.go", src, false, nil)
-	var out bytes.Buffer
-	code := Unitchecker([]*analysis.Analyzer{goroleak.Analyzer}, cfgFile, &out)
-	if code != 2 {
-		t.Fatalf("variant unit exited %d, want 2 (findings)\noutput: %s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "no provable join") {
-		t.Errorf("output %q lacks the goroleak finding", out.String())
-	}
-}
-
-// TestUnitcheckerVetxRoundTrip pins the facts transport: a VetxOnly unit
-// (how cmd/go vets dependencies) runs only the fact-exporting analyzers,
-// writes its hot set to VetxOutput, and a later unit listing that file
-// under the variant spelling sees the facts under the canonical path.
-func TestUnitcheckerVetxRoundTrip(t *testing.T) {
-	const src = `package demo
-
-//kk:hotpath
-func Step() int { return 1 }
-`
-	cfgFile, vetx := unitCfg(t, "example.com/demo", "demo.go", src, true, nil)
-	var out bytes.Buffer
-	code := Unitchecker([]*analysis.Analyzer{hotalloc.Analyzer, goroleak.Analyzer}, cfgFile, &out)
-	if code != 0 {
-		t.Fatalf("VetxOnly unit exited %d\noutput: %s", code, out.String())
-	}
-	data, err := os.ReadFile(vetx)
-	if err != nil {
-		t.Fatalf("vetx file not written: %v", err)
-	}
-	var blobs map[string][]byte
-	if err := json.Unmarshal(data, &blobs); err != nil {
-		t.Fatalf("vetx file is not a facts map: %v", err)
-	}
-	blob, ok := blobs["hotalloc"]
-	if !ok {
-		t.Fatalf("vetx %s lacks hotalloc facts: %q", vetx, data)
-	}
-	if !strings.Contains(string(blob), "Step") {
-		t.Errorf("hotalloc facts %q do not list the hot function", blob)
-	}
-
-	// Downstream load under the test-variant spelling: the blob must be
-	// keyed by the canonical path, which is what ImportFacts looks up.
-	cfg := vetConfig{PackageVetx: map[string]string{
-		"example.com/demo [example.com/demo.test]": vetx,
-	}}
-	fs := loadVetx(cfg, []*analysis.Analyzer{hotalloc.Analyzer})
-	if got := fs["hotalloc"]["example.com/demo"]; !strings.Contains(string(got), "Step") {
-		t.Errorf("loadVetx stored facts under the wrong key: %v", fs["hotalloc"])
 	}
 }

@@ -4,7 +4,23 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"knightking/internal/stats"
 )
+
+// bucketOf observes v into a fresh histogram and returns the one bucket
+// that counted it.
+func bucketOf(v int64) int {
+	h := NewHistogram("b", "")
+	h.Observe(v)
+	s := h.Snapshot()
+	for i, b := range s.Buckets {
+		if b != 0 {
+			return i
+		}
+	}
+	return -1
+}
 
 // TestBucketBoundaries pins the power-of-two bucket layout: bucket 0 holds
 // non-positive values, bucket i holds values of 64-bit length exactly i.
@@ -28,19 +44,19 @@ func TestBucketBoundaries(t *testing.T) {
 		{math.MaxInt64, 63},
 	}
 	for _, c := range cases {
-		if got := bucketIndex(c.v); got != c.want {
-			t.Errorf("bucketIndex(%d) = %d, want %d", c.v, got, c.want)
+		if got := bucketOf(c.v); got != c.want {
+			t.Errorf("%d landed in bucket %d, want %d", c.v, got, c.want)
 		}
 	}
 	// Every value must land in a bucket whose bound is >= the value, and
 	// whose predecessor's bound is < the value.
 	for _, c := range cases {
-		i := bucketIndex(c.v)
-		if b := BucketBound(i); c.v > b {
+		i := bucketOf(c.v)
+		if b := stats.Pow2Bound(i); c.v > b {
 			t.Errorf("value %d exceeds its bucket %d bound %d", c.v, i, b)
 		}
 		if i > 0 && c.v > 0 {
-			if b := BucketBound(i - 1); c.v <= b {
+			if b := stats.Pow2Bound(i - 1); c.v <= b {
 				t.Errorf("value %d fits in earlier bucket %d (bound %d)", c.v, i-1, b)
 			}
 		}
@@ -48,20 +64,20 @@ func TestBucketBoundaries(t *testing.T) {
 }
 
 func TestBucketBound(t *testing.T) {
-	if got := BucketBound(0); got != 0 {
-		t.Errorf("BucketBound(0) = %d, want 0", got)
+	if got := stats.Pow2Bound(0); got != 0 {
+		t.Errorf("Pow2Bound(0) = %d, want 0", got)
 	}
-	if got := BucketBound(1); got != 1 {
-		t.Errorf("BucketBound(1) = %d, want 1", got)
+	if got := stats.Pow2Bound(1); got != 1 {
+		t.Errorf("Pow2Bound(1) = %d, want 1", got)
 	}
-	if got := BucketBound(3); got != 7 {
-		t.Errorf("BucketBound(3) = %d, want 7", got)
+	if got := stats.Pow2Bound(3); got != 7 {
+		t.Errorf("Pow2Bound(3) = %d, want 7", got)
 	}
-	if got := BucketBound(63); got != math.MaxInt64 {
-		t.Errorf("BucketBound(63) = %d, want MaxInt64", got)
+	if got := stats.Pow2Bound(63); got != math.MaxInt64 {
+		t.Errorf("Pow2Bound(63) = %d, want MaxInt64", got)
 	}
-	if got := BucketBound(numBuckets); got != math.MaxInt64 {
-		t.Errorf("BucketBound(%d) = %d, want MaxInt64", numBuckets, got)
+	if got := stats.Pow2Bound(stats.Pow2Buckets); got != math.MaxInt64 {
+		t.Errorf("Pow2Bound(%d) = %d, want MaxInt64", stats.Pow2Buckets, got)
 	}
 }
 
@@ -98,7 +114,7 @@ func TestHistogramObserve(t *testing.T) {
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	var empty HistogramSnapshot
+	var empty stats.Pow2Counts
 	if got := empty.Quantile(0.5); got != 0 {
 		t.Errorf("empty quantile = %d, want 0", got)
 	}
@@ -121,7 +137,7 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrent hammers Observe, Merge, and Snapshot from many
+// TestHistogramConcurrent hammers Observe, Add, and Snapshot from many
 // goroutines; run under -race, and the final totals must be exact.
 func TestHistogramConcurrent(t *testing.T) {
 	const (
@@ -147,7 +163,8 @@ func TestHistogramConcurrent(t *testing.T) {
 				}
 			}
 			if g%2 == 1 {
-				dst.Merge(src)
+				s := src.Snapshot()
+				dst.Add(&s)
 			}
 		}(g)
 	}
@@ -177,7 +194,8 @@ func TestHistogramMergeMax(t *testing.T) {
 	a, b := NewHistogram("a", ""), NewHistogram("b", "")
 	a.Observe(10)
 	b.Observe(500)
-	a.Merge(b)
+	s := b.Snapshot()
+	a.Add(&s)
 	if s := a.Snapshot(); s.Max != 500 || s.Count != 2 || s.Sum != 510 {
 		t.Errorf("merged snapshot = %+v", s)
 	}

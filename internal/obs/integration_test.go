@@ -92,16 +92,16 @@ func TestTelemetryDoesNotChangeWalkOutput(t *testing.T) {
 	// The engine histograms the walk exercises must be non-empty.
 	for _, h := range []*Histogram{reg.TrialsPerStep, reg.QueryBatch} {
 		if h.Snapshot().Count == 0 {
-			t.Errorf("histogram %s is empty", h.Name())
+			t.Errorf("histogram %s is empty", h.name)
 		}
 	}
 	// Exchange latency is derived from the spans: one per rank-superstep.
 	if n := reg.ExchangeLatency.Snapshot().Count; n != int64(want) {
 		t.Errorf("exchange_latency_ns count %d, want one per span (%d)", n, want)
 	}
-	// Trials-per-step observations approximate the step counter.
+	// The engine counts one trials-per-step observation per step.
 	ts := reg.TrialsPerStep.Snapshot()
-	if steps := observed.Counters.Steps; ts.Count < steps/2 || ts.Count > steps {
+	if steps := observed.Counters.Steps; ts.Count != steps {
 		t.Errorf("trials_per_step count %d vs %d steps", ts.Count, steps)
 	}
 	if skew := reg.StragglerSkew(); skew < 1 {

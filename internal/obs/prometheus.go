@@ -10,6 +10,19 @@ import (
 // metricPrefix namespaces every exported metric family.
 const metricPrefix = "kk_"
 
+// Histogram names a stats.Pow2Histogram for the Prometheus page. The name
+// becomes the metric family (prefixed "kk_"), so use snake_case with a
+// unit suffix.
+type Histogram struct {
+	name, help string
+	*stats.Pow2Histogram
+}
+
+// NewHistogram creates a named, empty histogram.
+func NewHistogram(name, help string) *Histogram {
+	return &Histogram{name, help, new(stats.Pow2Histogram)}
+}
+
 // counterMetric pairs one exported counter with its help text.
 type counterMetric struct {
 	name string
@@ -73,7 +86,7 @@ func WriteMetrics(w io.Writer, r *Registry) error {
 		}
 	}
 	for _, h := range r.Histograms() {
-		if err := writeHistogram(w, h.Snapshot()); err != nil {
+		if err := WriteHistogram(w, h); err != nil {
 			return err
 		}
 	}
@@ -105,11 +118,27 @@ func WriteGauge(w io.Writer, name, help string, v int64) error {
 	return writeFamily(w, name, help, "gauge", v)
 }
 
-// WriteHistogram renders one ad-hoc histogram snapshot, for callers
-// composing a /metrics page from histograms that live outside a Registry
-// (e.g. the walk service's ingest timings).
-func WriteHistogram(w io.Writer, s HistogramSnapshot) error {
-	return writeHistogram(w, s)
+// WriteHistogram renders one histogram family with cumulative buckets up
+// to the highest non-empty bucket, then the mandatory +Inf bucket, sum,
+// and count. Callers composing a /metrics page from histograms that live
+// outside a Registry (e.g. the walk service's ingest timings) use it too.
+func WriteHistogram(w io.Writer, h *Histogram) error {
+	s := h.Snapshot()
+	if _, err := fmt.Fprintf(w, "# HELP %[1]s%[2]s %[3]s\n# TYPE %[1]s%[2]s histogram\n",
+		metricPrefix, h.name, h.help); err != nil {
+		return err
+	}
+	var cum int64
+	for i := 0; i <= s.HighestNonEmpty(); i++ {
+		cum += s.Buckets[i]
+		if _, err := fmt.Fprintf(w, "%s%s_bucket{le=\"%d\"} %d\n",
+			metricPrefix, h.name, stats.Pow2Bound(i), cum); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "%[1]s%[2]s_bucket{le=\"+Inf\"} %[3]d\n%[1]s%[2]s_sum %[4]d\n%[1]s%[2]s_count %[3]d\n",
+		metricPrefix, h.name, s.Count, s.Sum)
+	return err
 }
 
 // LabeledValue is one sample of a labeled gauge family.
@@ -138,26 +167,5 @@ func WriteLabeledGauge(w io.Writer, name, help, label string, samples []LabeledV
 func writeFamily(w io.Writer, name, help, kind string, v int64) error {
 	_, err := fmt.Fprintf(w, "# HELP %[1]s%[2]s %[3]s\n# TYPE %[1]s%[2]s %[4]s\n%[1]s%[2]s %[5]d\n",
 		metricPrefix, name, help, kind, v)
-	return err
-}
-
-// writeHistogram renders one histogram family with cumulative buckets up
-// to the highest non-empty bucket, then the mandatory +Inf bucket, sum,
-// and count.
-func writeHistogram(w io.Writer, s HistogramSnapshot) error {
-	if _, err := fmt.Fprintf(w, "# HELP %[1]s%[2]s %[3]s\n# TYPE %[1]s%[2]s histogram\n",
-		metricPrefix, s.Name, s.Help); err != nil {
-		return err
-	}
-	var cum int64
-	for i := 0; i <= s.HighestNonEmpty(); i++ {
-		cum += s.Buckets[i]
-		if _, err := fmt.Fprintf(w, "%s%s_bucket{le=\"%d\"} %d\n",
-			metricPrefix, s.Name, BucketBound(i), cum); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%[1]s%[2]s_bucket{le=\"+Inf\"} %[3]d\n%[1]s%[2]s_sum %[4]d\n%[1]s%[2]s_count %[3]d\n",
-		metricPrefix, s.Name, s.Count, s.Sum)
 	return err
 }

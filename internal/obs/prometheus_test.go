@@ -14,9 +14,12 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 // goldenRegistry builds a registry in a fixed, fully deterministic state.
+// The trials-per-step and query-batch families render the counter set's
+// distributions, so they are seeded there, as the engine fills them.
 func goldenRegistry() *Registry {
 	reg := NewRegistry(nil)
-	reg.Counters().Restore(stats.Snapshot{
+	c := reg.Counters()
+	c.Add(stats.Snapshot{
 		EdgeProbEvals: 11, Trials: 12, PreAccepts: 5, AppendixHits: 2,
 		Queries: 7, Messages: 3, BytesSent: 4096, Steps: 10,
 		Restarts: 1, Terminations: 9,
@@ -31,9 +34,9 @@ func goldenRegistry() *Registry {
 		ComputeNanos: 10, ExchangeNanos: 20,
 	})
 	for _, v := range []int64{1, 1, 3} {
-		reg.TrialsPerStep.Observe(v)
+		c.StepTrials.Observe(v)
 	}
-	reg.QueryBatch.Observe(128)
+	c.QueryBatch.Observe(128)
 	return reg
 }
 

@@ -1,3 +1,14 @@
+// Package obs is the engine's telemetry layer: per-superstep span records
+// with JSONL export, a Prometheus-text + /statusz + pprof admin server,
+// the metric names and rendering of the engine's power-of-two histograms,
+// and the glue that fills the end-of-run stats.Report. The Registry type
+// implements core.Observer and derives every histogram the engine does not
+// count itself from the superstep spans, so one value wires the whole
+// engine.
+//
+// Telemetry is strictly passive: observations never touch walker RNG
+// streams, so enabling it cannot change walk output (pinned by
+// TestTelemetryDoesNotChangeWalkOutput).
 package obs
 
 import (
@@ -27,20 +38,23 @@ const SpanSchemaVersion = 3
 // Registry is the run-wide telemetry hub: the engine histograms, the
 // per-superstep span log, and the live state the admin server exposes. It
 // implements core.Observer and derives the exchange and checkpoint
-// histograms from the spans, so wiring a run is:
+// histograms from the spans; the trials-per-step and query-batch
+// histograms are the engine's own distributions in the counter set, so
+// wiring a run is:
 //
 //	reg := obs.NewRegistry(counters)
+//	cfg.Counters = reg.Counters()
 //	cfg.Observer = reg
 //
 // Under core.Run every simulated rank shares one registry, so cross-rank
 // histogram merging is implicit; multi-process ranks each own a registry
-// and report per-rank (Histogram.Merge folds them when a coordinator
-// gathers blobs). All methods are safe for concurrent use.
+// and report per-rank. All methods are safe for concurrent use.
 type Registry struct {
 	counters *stats.Counters
 	start    time.Time
 
-	// Engine histograms, fixed at construction.
+	// Engine histograms, fixed at construction. The first two name the
+	// counters' StepTrials and QueryBatch distributions.
 	TrialsPerStep   *Histogram // rejection darts per completed walker step
 	QueryBatch      *Histogram // records per incoming phase-B query batch
 	ExchangeLatency *Histogram // exchange nanoseconds per rank-superstep
@@ -68,7 +82,6 @@ type Registry struct {
 	spans        []core.SuperstepSpan
 	spanEnc      *json.Encoder
 	rankExchange map[int]int64
-	rankCompute  map[int]int64
 
 	// trace, when set, receives every span the registry sees, building the
 	// run's causal trace alongside the aggregates (see SetTrace).
@@ -86,14 +99,13 @@ func NewRegistry(c *stats.Counters) *Registry {
 		counters: c,
 		start:    time.Now(),
 
-		TrialsPerStep:   NewHistogram("trials_per_step", "Rejection-sampling darts thrown per completed walker step."),
-		QueryBatch:      NewHistogram("query_batch_records", "State-query records per incoming phase-B batch."),
+		TrialsPerStep:   &Histogram{"trials_per_step", "Rejection-sampling darts thrown per completed walker step.", &c.StepTrials},
+		QueryBatch:      &Histogram{"query_batch_records", "State-query records per incoming phase-B batch.", &c.QueryBatch},
 		ExchangeLatency: NewHistogram("exchange_latency_ns", "Wall nanoseconds per rank-superstep spent in collective exchanges (wire + barrier wait)."),
 		CheckpointBytes: NewHistogram("checkpoint_segment_bytes", "Bytes per durably written checkpoint segment."),
 		CheckpointWrite: NewHistogram("checkpoint_write_ns", "Wall nanoseconds per rank-checkpoint (encode, segment write with fsync, commit barrier)."),
 
 		rankExchange: make(map[int]int64),
-		rankCompute:  make(map[int]int64),
 	}
 }
 
@@ -155,7 +167,6 @@ func (r *Registry) OnSuperstep(span core.SuperstepSpan) {
 	r.spanMu.Lock()
 	r.spans = append(r.spans, span)
 	r.rankExchange[span.Rank] += span.ExchangeNanos
-	r.rankCompute[span.Rank] += span.ComputeNanos
 	enc := r.spanEnc
 	if enc != nil {
 		// Encode inside the lock so concurrent ranks cannot interleave
@@ -170,12 +181,6 @@ func stampVersion(sp core.SuperstepSpan) core.SuperstepSpan {
 	sp.V = SpanSchemaVersion
 	return sp
 }
-
-// ObserveStepTrials implements core.Observer.
-func (r *Registry) ObserveStepTrials(trials int64) { r.TrialsPerStep.Observe(trials) }
-
-// ObserveQueryBatch implements core.Observer.
-func (r *Registry) ObserveQueryBatch(records int64) { r.QueryBatch.Observe(records) }
 
 // Histograms returns the registry's histograms in stable rendering order.
 func (r *Registry) Histograms() []*Histogram {
@@ -307,7 +312,7 @@ func (r *Registry) Status() Status {
 	st.Histograms = make(map[string]HistogramStatus, len(hists))
 	for _, h := range hists {
 		s := h.Snapshot()
-		st.Histograms[s.Name] = HistogramStatus{
+		st.Histograms[h.name] = HistogramStatus{
 			Count: s.Count,
 			Mean:  s.Mean(),
 			P50:   s.Quantile(0.50),

@@ -277,13 +277,6 @@ func (c *Collector) OnSuperstep(span core.SuperstepSpan) {
 	c.foldGateLocked(span)
 }
 
-// ObserveStepTrials implements core.Observer; trial distributions belong
-// to obs.Registry's histograms, not the trace ring.
-func (c *Collector) ObserveStepTrials(int64) {}
-
-// ObserveQueryBatch implements core.Observer.
-func (c *Collector) ObserveQueryBatch(int64) {}
-
 // foldGateLocked feeds the critical-path aggregator: the rank that gated
 // a superstep's barrier is the one with the largest owned pre-barrier
 // work (compute + checkpoint; exchange time is mostly *waiting* on other

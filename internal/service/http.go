@@ -312,10 +312,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteLabeledGauge(w, "serve_graph_epoch", "Current published epoch per graph.", "graph", epochs)
 	obs.WriteLabeledGauge(w, "serve_graph_delta_edges", "Net overlay edge delta per graph.", "graph", deltaEdges)
 
-	obs.WriteHistogram(w, m.ingestBatchSize.Snapshot())
-	obs.WriteHistogram(w, m.ingestApplyUs.Snapshot())
-	obs.WriteHistogram(w, m.compactUs.Snapshot())
-	obs.WriteHistogram(w, m.queueWaitNs.Snapshot())
+	obs.WriteHistogram(w, m.ingestBatchSize)
+	obs.WriteHistogram(w, m.ingestApplyUs)
+	obs.WriteHistogram(w, m.compactUs)
+	obs.WriteHistogram(w, m.queueWaitNs)
 	obs.WriteSnapshotMetrics(w, s.sched.EngineSnapshot())
 }
 

@@ -75,6 +75,20 @@ type Counters struct {
 	// calls (communication + barrier wait, summed across ranks) — the
 	// denominator for separating network cost from compute.
 	ExchangeNanos atomic.Int64
+
+	// StepTrials is the distribution of rejection darts per completed
+	// walker step (1 for static walks and pre-accepted darts, higher under
+	// rejection pressure); once the run joins its count equals Steps.
+	// Engine workers fill it the way they fill Trials: locally, folded in
+	// once per phase.
+	StepTrials Pow2Histogram
+	// QueryBatch is the distribution of records per incoming phase-B
+	// state-query batch — one observation per (sender, receiver) pair per
+	// superstep.
+	//
+	// Snapshot and Add cover the scalar counters only, so neither
+	// distribution enters checkpoints or reports.
+	QueryBatch Pow2Histogram
 }
 
 // Snapshot is a plain copy of the counter values. See the Counters doc for
@@ -120,27 +134,6 @@ func (c *Counters) Snapshot() Snapshot {
 	}
 }
 
-// Restore overwrites the counters with a previously captured snapshot, the
-// inverse of Snapshot. Used when resuming a run from a checkpoint so that
-// post-resume activity accumulates on top of pre-crash totals.
-func (c *Counters) Restore(s Snapshot) {
-	c.EdgeProbEvals.Store(s.EdgeProbEvals)
-	c.Trials.Store(s.Trials)
-	c.PreAccepts.Store(s.PreAccepts)
-	c.AppendixHits.Store(s.AppendixHits)
-	c.Queries.Store(s.Queries)
-	c.Messages.Store(s.Messages)
-	c.BytesSent.Store(s.BytesSent)
-	c.Steps.Store(s.Steps)
-	c.Restarts.Store(s.Restarts)
-	c.Terminations.Store(s.Terminations)
-	c.Checkpoints.Store(s.Checkpoints)
-	c.CheckpointBytes.Store(s.CheckpointBytes)
-	c.CheckpointNanos.Store(s.CheckpointNanos)
-	c.RestoreNanos.Store(s.RestoreNanos)
-	c.ExchangeNanos.Store(s.ExchangeNanos)
-}
-
 // Add accumulates a snapshot into the counters (used when merging per-rank
 // checkpoint snapshots into a shared counter set).
 func (c *Counters) Add(s Snapshot) {
@@ -159,25 +152,6 @@ func (c *Counters) Add(s Snapshot) {
 	c.CheckpointNanos.Add(s.CheckpointNanos)
 	c.RestoreNanos.Add(s.RestoreNanos)
 	c.ExchangeNanos.Add(s.ExchangeNanos)
-}
-
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	c.EdgeProbEvals.Store(0)
-	c.Trials.Store(0)
-	c.PreAccepts.Store(0)
-	c.AppendixHits.Store(0)
-	c.Queries.Store(0)
-	c.Messages.Store(0)
-	c.BytesSent.Store(0)
-	c.Steps.Store(0)
-	c.Restarts.Store(0)
-	c.Terminations.Store(0)
-	c.Checkpoints.Store(0)
-	c.CheckpointBytes.Store(0)
-	c.CheckpointNanos.Store(0)
-	c.RestoreNanos.Store(0)
-	c.ExchangeNanos.Store(0)
 }
 
 // EdgesPerStep returns EdgeProbEvals/Steps, the paper's edges/step metric
@@ -215,7 +189,9 @@ func NewHistogram(n int) *Histogram {
 	return &Histogram{buckets: make([]int64, n+1)}
 }
 
-// Observe records a value.
+// Observe records a value. The engine calls it once per finished walker.
+//
+//kk:hotpath
 func (h *Histogram) Observe(v int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -234,13 +210,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // Mean returns the mean observation (0 when empty).
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
@@ -256,13 +225,6 @@ func (h *Histogram) Max() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.max
-}
-
-// Bucket returns the count in bucket i (the last bucket is overflow).
-func (h *Histogram) Bucket(i int) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.buckets[i]
 }
 
 // HistogramState is a plain copy of a histogram's internals, used to
@@ -301,28 +263,6 @@ func (h *Histogram) AddState(s HistogramState) error {
 		h.max = s.Max
 	}
 	return nil
-}
-
-// Quantile returns the smallest value v such that at least q of the mass is
-// <= v. Overflow observations count at the overflow bucket's index.
-func (h *Histogram) Quantile(q float64) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.count))
-	if target >= h.count {
-		target = h.count - 1
-	}
-	var cum int64
-	for i, b := range h.buckets {
-		cum += b
-		if cum > target {
-			return int64(i)
-		}
-	}
-	return int64(len(h.buckets) - 1)
 }
 
 // Table accumulates aligned rows for human-readable experiment output.

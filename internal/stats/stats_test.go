@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-func TestCountersSnapshotAndReset(t *testing.T) {
+func TestCountersSnapshot(t *testing.T) {
 	var c Counters
 	c.EdgeProbEvals.Add(10)
 	c.Steps.Add(4)
@@ -23,28 +23,15 @@ func TestCountersSnapshotAndReset(t *testing.T) {
 	if got := s.TrialsPerStep(); got != 1.5 {
 		t.Fatalf("TrialsPerStep = %v", got)
 	}
-	c.Reset()
-	if c.Snapshot() != (Snapshot{}) {
-		t.Fatal("reset did not zero counters")
-	}
 }
 
-func TestCountersRestoreAndAdd(t *testing.T) {
+func TestCountersAdd(t *testing.T) {
 	var c Counters
 	c.Steps.Add(3)
-	c.Restore(Snapshot{Steps: 10, Queries: 2, Checkpoints: 1, CheckpointBytes: 64})
+	c.Add(Snapshot{Steps: 10, Queries: 2, Checkpoints: 1, CheckpointBytes: 64, RestoreNanos: 7})
 	s := c.Snapshot()
-	if s.Steps != 10 || s.Queries != 2 || s.Checkpoints != 1 || s.CheckpointBytes != 64 {
-		t.Fatalf("after Restore: %+v", s)
-	}
-	c.Add(Snapshot{Steps: 5, Queries: 1, RestoreNanos: 7})
-	s = c.Snapshot()
-	if s.Steps != 15 || s.Queries != 3 || s.RestoreNanos != 7 {
+	if s.Steps != 13 || s.Queries != 2 || s.Checkpoints != 1 || s.CheckpointBytes != 64 || s.RestoreNanos != 7 {
 		t.Fatalf("after Add: %+v", s)
-	}
-	c.Reset()
-	if c.Snapshot() != (Snapshot{}) {
-		t.Fatal("reset left checkpoint counters set")
 	}
 }
 
@@ -63,8 +50,8 @@ func TestHistogramStateRoundTrip(t *testing.T) {
 	if err := h2.AddState(st); err != nil {
 		t.Fatal(err)
 	}
-	if h2.Count() != 4 || h2.Max() != 5 || h2.Bucket(3) != 2 {
-		t.Fatalf("after AddState: count=%d max=%d", h2.Count(), h2.Max())
+	if st2 := h2.State(); st2.Count != 4 || h2.Max() != 5 || st2.Buckets[3] != 2 {
+		t.Fatalf("after AddState: %+v", st2)
 	}
 	if got := h2.Mean(); got != 3 {
 		t.Fatalf("Mean = %v, want 3", got)
@@ -105,37 +92,21 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []int64{0, 1, 1, 5, 9, 50, -3} {
 		h.Observe(v)
 	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d", h.Count())
+	st := h.State()
+	if st.Count != 7 {
+		t.Fatalf("count = %d", st.Count)
 	}
 	if h.Max() != 50 {
 		t.Fatalf("max = %d", h.Max())
 	}
-	if h.Bucket(1) != 2 {
-		t.Fatalf("bucket 1 = %d", h.Bucket(1))
+	if st.Buckets[1] != 2 {
+		t.Fatalf("bucket 1 = %d", st.Buckets[1])
 	}
-	if h.Bucket(10) != 1 { // overflow
-		t.Fatalf("overflow bucket = %d", h.Bucket(10))
+	if st.Buckets[10] != 1 { // overflow
+		t.Fatalf("overflow bucket = %d", st.Buckets[10])
 	}
-	if h.Bucket(0) != 2 { // 0 and clamped -3
-		t.Fatalf("bucket 0 = %d", h.Bucket(0))
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(100)
-	for i := int64(1); i <= 100; i++ {
-		h.Observe(i)
-	}
-	if q := h.Quantile(0.5); q < 48 || q > 52 {
-		t.Fatalf("median = %d", q)
-	}
-	if q := h.Quantile(0.99); q < 95 {
-		t.Fatalf("p99 = %d", q)
-	}
-	empty := NewHistogram(5)
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
+	if st.Buckets[0] != 2 { // 0 and clamped -3
+		t.Fatalf("bucket 0 = %d", st.Buckets[0])
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package chaos wraps a transport.Endpoint with deterministic network
 // fault injection: random and periodic delays (slow peers), truncated and
-// bit-flipped payloads, and mid-run disconnects. It generalizes
-// transport.Faulty (which only kills a rank at a fixed exchange) into a
-// harness for the failure modes a real cluster network exhibits.
+// bit-flipped payloads, and mid-run disconnects — the failure modes a real
+// cluster network exhibits. A Config with only DisconnectAt set is the
+// plain rank-kill the checkpoint recovery tests inject.
 //
 // Every decision is drawn from a seeded rng stream derived from
 // (Config.Seed, rank), so a failing run replays exactly: the same
@@ -50,7 +50,9 @@ type Config struct {
 	BitFlipProb float64
 	// DisconnectAt, when positive, closes the underlying endpoint at the
 	// DisconnectAt-th Exchange call (1-based) and returns an error
-	// wrapping transport.ErrInjected, exactly like transport.Faulty.
+	// wrapping transport.ErrInjected. Closing tears the whole group down
+	// under both transports — peers blocked in Exchange return errors —
+	// the way a node death stalls and then aborts a bulk-synchronous job.
 	DisconnectAt int
 }
 

@@ -142,41 +142,89 @@ func TestChaosDelaysPreserveDelivery(t *testing.T) {
 }
 
 // TestChaosDisconnect: the programmed rank dies with ErrInjected at its
-// barrier and the teardown unblocks the surviving ranks with errors, just
-// like transport.Faulty — the precondition for the recovery path.
+// DisconnectAt-th exchange and the teardown unblocks the surviving ranks
+// with errors — the precondition for the recovery path. A DisconnectAt of
+// 0 never fires, and then Rank, Size, Send and Exchange pass through.
 func TestChaosDisconnect(t *testing.T) {
-	eps := transport.NewInProcGroup(3)
-	victim := Wrap(eps[2], Config{DisconnectAt: 2})
+	const rounds = 5
+	for _, tc := range []struct {
+		name          string
+		ranks, victim int
+		at            int // DisconnectAt
+	}{
+		{"last-rank-at-exchange-2", 3, 2, 2},
+		{"first-rank-at-exchange-3", 2, 0, 3},
+		{"zero-never-fires", 1, 0, 0},
+		{"zero-passes-through", 2, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eps := transport.NewInProcGroup(tc.ranks)
+			victim := Wrap(eps[tc.victim], Config{DisconnectAt: tc.at})
+			eps[tc.victim] = victim
 
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	work := func(i int, ep transport.Endpoint) {
-		defer wg.Done()
-		for {
-			ep.Send((i+1)%3, 1, []byte{byte(i)})
-			if _, err := ep.Exchange(); err != nil {
-				errs[i] = err
+			errs := make([]error, tc.ranks)
+			recv := make([][]transport.Message, tc.ranks)
+			var wg sync.WaitGroup
+			for i, ep := range eps {
+				wg.Add(1)
+				go func(i int, ep transport.Endpoint) {
+					defer wg.Done()
+					for r := 0; r < rounds; r++ {
+						ep.Send((i+1)%tc.ranks, 7, []byte{byte(i), byte(r)})
+						msgs, err := ep.Exchange()
+						if err != nil {
+							errs[i] = err
+							return
+						}
+						recv[i] = append(recv[i], msgs...)
+					}
+				}(i, ep)
+			}
+			wg.Wait()
+
+			if tc.at == 0 {
+				for i, err := range errs {
+					if err != nil {
+						t.Fatalf("rank %d: %v", i, err)
+					}
+				}
+				if evs := victim.Events(); len(evs) != 0 {
+					t.Fatalf("DisconnectAt=0 injected %v", evs)
+				}
+				if victim.Rank() != tc.victim || victim.Size() != tc.ranks || victim.Exchanges() != rounds {
+					t.Fatalf("rank/size/exchanges = %d/%d/%d, want %d/%d/%d",
+						victim.Rank(), victim.Size(), victim.Exchanges(), tc.victim, tc.ranks, rounds)
+				}
+				for i, msgs := range recv {
+					from := (i + tc.ranks - 1) % tc.ranks
+					if len(msgs) != rounds {
+						t.Fatalf("rank %d received %d messages, want %d", i, len(msgs), rounds)
+					}
+					for r, m := range msgs {
+						if m.From != from || m.Kind != 7 || !bytes.Equal(m.Payload, []byte{byte(from), byte(r)}) {
+							t.Fatalf("rank %d round %d: got %+v", i, r, m)
+						}
+					}
+				}
 				return
 			}
-		}
-	}
-	wg.Add(3)
-	go work(0, eps[0])
-	go work(1, eps[1])
-	go work(2, victim)
-	wg.Wait()
 
-	if !errors.Is(errs[2], transport.ErrInjected) {
-		t.Fatalf("victim error = %v, want ErrInjected", errs[2])
-	}
-	for i := 0; i < 2; i++ {
-		if errs[i] == nil {
-			t.Fatalf("surviving rank %d saw no error after disconnect", i)
-		}
-	}
-	evs := victim.Events()
-	if len(evs) != 1 || evs[0].Kind != "disconnect" || evs[0].Exchange != 2 {
-		t.Fatalf("victim events = %v, want one disconnect at exchange 2", evs)
+			if !errors.Is(errs[tc.victim], transport.ErrInjected) {
+				t.Fatalf("victim error = %v, want ErrInjected", errs[tc.victim])
+			}
+			for i, err := range errs {
+				if i != tc.victim && err == nil {
+					t.Fatalf("surviving rank %d saw no error after disconnect", i)
+				}
+			}
+			if got := victim.Exchanges(); got != tc.at {
+				t.Fatalf("victim saw %d exchanges, want %d", got, tc.at)
+			}
+			evs := victim.Events()
+			if len(evs) != 1 || evs[0].Kind != "disconnect" || evs[0].Exchange != tc.at {
+				t.Fatalf("victim events = %v, want one disconnect at exchange %d", evs, tc.at)
+			}
+		})
 	}
 }
 

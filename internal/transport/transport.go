@@ -25,6 +25,11 @@ import (
 	"time"
 )
 
+// ErrInjected is the sentinel error a fault-injecting wrapper (the chaos
+// package's programmed disconnect) returns when its crash fires. Callers
+// match it with errors.Is.
+var ErrInjected = errors.New("transport: injected fault")
+
 // ErrTimeout is the sentinel error wrapped by every deadline failure in
 // this package: a TCP read/write deadline expiring mid-frame, or an
 // exchange-level guard (WithExchangeTimeout) firing because the collective
