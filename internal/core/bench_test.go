@@ -8,6 +8,7 @@ import (
 	"knightking/internal/alg"
 	"knightking/internal/core"
 	"knightking/internal/gen"
+	"knightking/internal/graph"
 )
 
 // benchRun executes one engine run and reports steps/sec and allocs/op.
@@ -128,7 +129,22 @@ func BenchmarkEngineNode2Vec2RanksScaling(b *testing.B) {
 // unweighted graphs and never draw from an alias row.
 func BenchmarkEngineDeepWalkBiased2Ranks(b *testing.B) {
 	g := gen.WithPowerLawWeights(gen.TruncatedPowerLaw(50000, 4, 2000, 2.0, 1), 16, 2.0, 1)
-	a := alg.DeepWalk(40, true)
+	benchStatic2Ranks(b, g, alg.DeepWalk(40, true))
+}
+
+// BenchmarkEngineDeepWalk2Ranks is the unweighted twin of
+// BenchmarkEngineDeepWalkBiased2Ranks: the same 50k-vertex graph without
+// weights, so each step draws a CSR slot instead of an alias entry. The
+// 5k-vertex graph of the other uniform benchmarks fits in cache and hides
+// what a step waits on memory for.
+func BenchmarkEngineDeepWalk2Ranks(b *testing.B) {
+	g := gen.TruncatedPowerLaw(50000, 4, 2000, 2.0, 1)
+	benchStatic2Ranks(b, g, alg.DeepWalk(40, false))
+}
+
+// benchStatic2Ranks runs a on g over 2 in-process ranks × 1 worker and
+// reports walk time per step, set-up excluded.
+func benchStatic2Ranks(b *testing.B, g *graph.Graph, a *core.Algorithm) {
 	var steps int64
 	var walk time.Duration
 	for i := 0; i < b.N; i++ {

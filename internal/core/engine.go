@@ -711,6 +711,7 @@ func (n *node) seedWalkers() {
 		if n.alg.InitWalker != nil {
 			n.alg.InitWalker(w, &w.R)
 		}
+		n.setTraced(w)
 		n.walkers = append(n.walkers, w)
 	}
 }
@@ -919,6 +920,12 @@ func (n *node) run() (iterations, lightIters int, err error) {
 			case kMigrate:
 				if m.Local != nil {
 					b := m.Local.(*walkerBatch)
+					if n.tracer != nil {
+						// The objects carry the sender's decisions.
+						for _, w := range b.ws {
+							n.setTraced(w)
+						}
+					}
 					n.walkers = append(n.walkers, b.ws...)
 					b.recycle()
 				} else if err := n.receiveWalkers(m.Payload); err != nil {
@@ -1174,21 +1181,8 @@ const (
 // applyAction, which draws nothing.
 func (n *node) decideStep(w *Walker, deg int, row []sampling.AliasEntry, rj *sampling.Rejection, st *workerState) (action, graph.VertexID) {
 	bc := &st.counters
-	if !w.sampling {
-		// Step-boundary termination checks (the Pe component).
-		if n.alg.MaxSteps > 0 && int(w.Step) >= n.alg.MaxSteps {
-			return actFinish, 0
-		}
-		if n.alg.TerminationProb > 0 && w.R.Bernoulli(n.alg.TerminationProb) {
-			return actFinish, 0
-		}
-		if n.alg.RestartProb > 0 && w.R.Bernoulli(n.alg.RestartProb) {
-			return actTeleport, 0
-		}
-		if deg == 0 {
-			return actFinish, 0
-		}
-		w.sampling = true
+	if act, ended := n.stepBoundary(w, deg); ended {
+		return act, 0
 	}
 
 	if !n.alg.dynamic() {
@@ -1267,6 +1261,31 @@ func (n *node) decideStep(w *Walker, deg int, row []sampling.AliasEntry, rj *sam
 	}
 }
 
+// stepBoundary runs the step-boundary checks (the Pe component) of a walker
+// that has not passed them this step yet, drawing from its stream in a
+// fixed order: termination, then restart. ended reports that the step
+// ends here with act (finish or teleport); otherwise the walker is marked
+// mid-step and goes on to sample an edge.
+func (n *node) stepBoundary(w *Walker, deg int) (act action, ended bool) {
+	if w.sampling {
+		return actYield, false
+	}
+	if n.alg.MaxSteps > 0 && int(w.Step) >= n.alg.MaxSteps {
+		return actFinish, true
+	}
+	if n.alg.TerminationProb > 0 && w.R.Bernoulli(n.alg.TerminationProb) {
+		return actFinish, true
+	}
+	if n.alg.RestartProb > 0 && w.R.Bernoulli(n.alg.RestartProb) {
+		return actTeleport, true
+	}
+	if deg == 0 {
+		return actFinish, true
+	}
+	w.sampling = true
+	return actYield, false
+}
+
 // applyAction performs the update half of a decided step — result
 // recording, relocation, message emission — and reports whether w stays in
 // this node's walker list. It never touches walker RNG, so the batch
@@ -1274,12 +1293,12 @@ func (n *node) decideStep(w *Walker, deg int, row []sampling.AliasEntry, rj *sam
 func (n *node) applyAction(w *Walker, act action, dst graph.VertexID, st *workerState) bool {
 	switch act {
 	case actYield:
-		if n.tracer != nil {
+		if n.traces(w) {
 			n.traceWalkerEvent(w, WalkerYield, w.Cur, 0, -1)
 		}
 		return true
 	case actFinish:
-		if n.tracer != nil {
+		if n.traces(w) {
 			n.traceWalkerEvent(w, WalkerFinish, w.Cur, 0, -1)
 		}
 		n.finish(w, st)
@@ -1289,13 +1308,13 @@ func (n *node) applyAction(w *Walker, act action, dst graph.VertexID, st *worker
 		return n.relocate(w, dst, st)
 	case actTeleport:
 		// A restart counts a step of walk length but not an edge traversal.
-		if n.tracer != nil {
+		if n.traces(w) {
 			n.traceWalkerEvent(w, WalkerTeleport, w.Cur, 0, -1)
 		}
 		st.counters.restarts++
 		return n.relocate(w, w.Origin, st)
 	case actPark:
-		if n.tracer != nil {
+		if n.traces(w) {
 			n.traceWalkerEvent(w, WalkerPark, w.pendingTarget, 0, -1)
 		}
 		st.out.addQuery(n.part.Owner(w.pendingTarget), w.ID, w.pendingTarget, w.pendingArg)
@@ -1319,7 +1338,7 @@ func (n *node) observeStep(w *Walker, trials int64, bc *batchCounters) {
 // every stepping strategy and the phase-C resolution path emit through
 // this one site.
 func (n *node) traceStep(w *Walker, trials int64) {
-	if n.tracer != nil {
+	if n.traces(w) {
 		n.traceWalkerEvent(w, WalkerStep, w.Cur, int32(trials), -1)
 	}
 }
@@ -1380,7 +1399,7 @@ func (n *node) relocate(w *Walker, dst graph.VertexID, st *workerState) bool {
 	if n.part.Owns(n.rank, dst) {
 		return true
 	}
-	if n.tracer != nil {
+	if n.traces(w) {
 		n.traceWalkerEvent(w, WalkerMigrate, dst, 0, n.part.Owner(dst))
 	}
 	if n.localMig != nil {
@@ -1420,6 +1439,7 @@ func (n *node) receiveWalkers(payload []byte) error {
 			return err
 		}
 		payload = rest
+		n.setTraced(w)
 		n.walkers = append(n.walkers, w)
 	}
 	return nil

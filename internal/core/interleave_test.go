@@ -62,8 +62,14 @@ func assertSameRun(t *testing.T, want, got *Result, label string) {
 // interleaveCases covers every stepping-relevant engine path: static
 // uniform and biased proposals, first-order dynamic rejection with
 // restarts and terminations, and two higher-order walks exercising the
-// park/query/resume machinery.
-func interleaveCases() map[string]Config {
+// park/query/resume machinery. The two static-biased variants cover every
+// branch of the split static move: finish (max steps and termination
+// probability), teleport, dead end, bucket hit and alias hit on skewed
+// weights, and rows supplied through Config.Samplers (with holes the node
+// fills with rows of its own).
+func interleaveCases(t *testing.T) map[string]Config {
+	skewed := gen.WithPowerLawWeights(gen.UniformDegree(110, 7, 229), 16, 2.0, 230)
+	provided := gen.WithUniformWeights(gen.UniformDegree(90, 6, 233), 1, 9, 234)
 	restarting := &Algorithm{
 		Name:            "restarting-dynamic",
 		MaxSteps:        14,
@@ -85,6 +91,20 @@ func interleaveCases() map[string]Config {
 			Algorithm: &Algorithm{Name: "biased", Biased: true, MaxSteps: 10},
 			NumNodes:  2,
 		},
+		"static-biased-restart-sinks": {
+			Graph: withSinks(skewed, 9),
+			Algorithm: &Algorithm{
+				Name: "biased-restart", Biased: true, MaxSteps: 16,
+				RestartProb: 0.1, TerminationProb: 0.05,
+			},
+			NumNodes: 3,
+		},
+		"static-biased-provided": {
+			Graph:     provided,
+			Algorithm: &Algorithm{Name: "biased", Biased: true, MaxSteps: 12},
+			NumNodes:  2,
+			Samplers:  buildProvider(t, provided, func(v int) bool { return v%4 == 0 }),
+		},
 		"first-order-dynamic": {
 			Graph:     gen.UniformDegree(100, 8, 217),
 			Algorithm: restarting,
@@ -103,8 +123,24 @@ func interleaveCases() map[string]Config {
 	}
 }
 
+// withSinks copies weighted g without the out-edges of every vertex
+// v%every == 0, so walks reaching one end there.
+func withSinks(g *graph.Graph, every int) *graph.Graph {
+	b := graph.NewBuilder(g.NumVertices())
+	for v := 0; v < g.NumVertices(); v++ {
+		id := graph.VertexID(v)
+		if v%every == 0 {
+			continue
+		}
+		for i, dst := range g.Neighbors(id) {
+			b.AddWeightedEdge(id, dst, g.Weights(id)[i])
+		}
+	}
+	return b.Build()
+}
+
 func TestInterleavedMatchesScalar(t *testing.T) {
-	for name, cfg := range interleaveCases() {
+	for name, cfg := range interleaveCases(t) {
 		cfg.Seed = 227
 		cfg.RecordPaths = true
 		cfg.CountVisits = true
@@ -119,6 +155,32 @@ func TestInterleavedMatchesScalar(t *testing.T) {
 		if scalar.Counters.Steps == 0 {
 			t.Fatalf("%s: no steps taken; equivalence is vacuous", name)
 		}
+		if name == "static-biased-restart-sinks" {
+			checkStaticEndings(t, cfg, scalar)
+		}
+	}
+}
+
+// checkStaticEndings asserts that a static walk with restarts, a
+// termination probability and sinks took every way a step can end:
+// teleports, dead ends, early terminations and full-length walks.
+func checkStaticEndings(t *testing.T, cfg Config, res *Result) {
+	t.Helper()
+	var deadEnds, early, full int
+	for _, p := range res.Paths {
+		last := p[len(p)-1]
+		switch {
+		case len(p)-1 == cfg.Algorithm.MaxSteps:
+			full++
+		case cfg.Graph.Degree(last) == 0:
+			deadEnds++
+		default:
+			early++
+		}
+	}
+	if res.Counters.Restarts == 0 || deadEnds == 0 || early == 0 || full == 0 {
+		t.Fatalf("restarts %d, dead ends %d, early terminations %d, full walks %d: a static ending went untested",
+			res.Counters.Restarts, deadEnds, early, full)
 	}
 }
 

@@ -7,7 +7,8 @@ package core
 //	gather: load each walker's degree, alias row, and rejection
 //	        dartboard (pure loads, no RNG);
 //	move:   run the step decision, consuming each walker's private RNG
-//	        stream (decideStep, shared with scalar stepping);
+//	        stream (decideStep, shared with scalar stepping; for biased
+//	        static walks moveStatic, which prefetches each drawn entry);
 //	update: apply the decided outcomes — relocation, result recording,
 //	        destination-grouped message emission (applyAction).
 //
@@ -28,6 +29,7 @@ import (
 	"time"
 
 	"knightking/internal/graph"
+	"knightking/internal/prefetch"
 	"knightking/internal/sampling"
 	"knightking/internal/stats"
 )
@@ -191,6 +193,7 @@ type batchState struct {
 	row  [][]sampling.AliasEntry
 	rej  []*sampling.Rejection
 	act  []action
+	k    []int32 // biased static walks: the drawn alias bucket
 	dst  []graph.VertexID
 }
 
@@ -204,6 +207,7 @@ func (b *batchState) grow(k int) {
 	b.row = make([][]sampling.AliasEntry, k) //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
 	b.rej = make([]*sampling.Rejection, k)   //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
 	b.act = make([]action, k)                //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
+	b.k = make([]int32, k)                   //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
 	b.dst = make([]graph.VertexID, k)
 }
 
@@ -243,8 +247,12 @@ func (n *node) stepBatch(ws []*Walker, base, end int, keep []bool, st *workerSta
 
 	// Move: run the decisions, consuming each walker's private stream in
 	// the same order the scalar loop would.
-	for j := 0; j < m; j++ {
-		b.act[j], b.dst[j] = n.decideStep(b.w[j], int(b.deg[j]), b.row[j], b.rej[j], st)
+	if n.rows != nil && !n.alg.dynamic() {
+		n.moveStatic(b, m, st)
+	} else {
+		for j := 0; j < m; j++ {
+			b.act[j], b.dst[j] = n.decideStep(b.w[j], int(b.deg[j]), b.row[j], b.rej[j], st)
+		}
 	}
 	if timed {
 		t1 := time.Now() //kk:nondet-ok telemetry-only stage timing; never feeds walk state
@@ -258,5 +266,41 @@ func (n *node) stepBatch(ws []*Walker, base, end int, keep []bool, st *workerSta
 	}
 	if timed {
 		st.updateNs += time.Since(t0).Nanoseconds() //kk:nondet-ok telemetry-only stage timing; never feeds walk state
+	}
+}
+
+// moveStatic is the move stage of a biased static walk (n.rows set),
+// split into two passes over the batch so that each walker's drawn alias
+// entry is on its way from memory while the first pass draws for the
+// walkers after it. Pass (a) runs the Pe checks and the bucket draw and
+// prefetches row[k]; pass (b) flips the coin and reads the alias branch
+// and Dst. Each walker still draws in decideStep's order (Pe draws, Intn,
+// Float64), so walks are bit-identical to scalar stepping. Uniform statics
+// stay on decideStep: a prefetch of the drawn CSR slot was not faster
+// often enough in alternating runs to keep.
+//
+//kk:hotpath
+func (n *node) moveStatic(b *batchState, m int, st *workerState) {
+	bc := &st.counters
+	for j := 0; j < m; j++ {
+		w := b.w[j]
+		act, ended := n.stepBoundary(w, int(b.deg[j]))
+		if ended {
+			b.act[j] = act
+			continue
+		}
+		b.act[j] = actMove
+		bc.oneDartSteps++
+		n.traceStep(w, 1)
+		row := b.row[j]
+		k := sampling.AliasBucket(row, &w.R)
+		prefetch.T0(&row[k])
+		b.k[j] = int32(k)
+	}
+	for j := 0; j < m; j++ {
+		if b.act[j] == actMove {
+			row := b.row[j]
+			b.dst[j] = row[sampling.ResolveAlias(row, int(b.k[j]), b.w[j].R.Float64())].Dst
+		}
 	}
 }

@@ -272,6 +272,7 @@ func (n *node) restoreSnapshot(rst *RestoreState) error {
 		if !n.cfg.RecordPaths {
 			w.Path = nil
 		}
+		n.setTraced(w)
 		n.walkers = append(n.walkers, w)
 		if w.awaiting {
 			n.parkedByID[w.ID] = w

@@ -77,7 +77,8 @@ type WalkerTraceEvent struct {
 // goroutines) and must not block; they see engine state only through
 // their arguments.
 //
-// The engine consults TraceWalker before emitting any walker event, so an
+// The engine consults TraceWalker once per walker per rank, where the
+// walker is seeded or arrives, before emitting any of its events, so an
 // implementation that samples by walker ID (internal/obs/tracelog samples
 // id % N == 0) gets a deterministic, reproducible set of journeys for a
 // given seed: the same walkers are sampled run after run, whatever the
@@ -99,12 +100,25 @@ type Tracer interface {
 	ObserveExchangePeers(rank int, d time.Duration, msgs []transport.Message)
 }
 
-// traceWalkerEvent emits one walker journey event if tracing is on and the
-// walker is sampled. The nil check is the entire disabled-path cost.
+// setTraced decides once whether w's journey is traced: the Tracer's
+// TraceWalker is a pure function of the walker ID, so the answer holds for
+// the walker's whole life on this rank. Called wherever a walker is seeded
+// or arrives on this rank: decoded from the wire or a snapshot, or, on a
+// rank with a Tracer, handed over in process as an object, whose flag is
+// the sending rank's decision.
+func (n *node) setTraced(w *Walker) {
+	w.traced = n.tracer != nil && n.tracer.TraceWalker(w.ID)
+}
+
+// traces reports whether w's journey events are emitted on this rank. The
+// tracer test comes first: with tracing off it is the whole cost, and a
+// flag that an in-process migration carried in from a traced rank is never
+// read.
+func (n *node) traces(w *Walker) bool { return n.tracer != nil && w.traced }
+
+// traceWalkerEvent emits one journey event of a sampled walker. Every call
+// site tests traces(w) first.
 func (n *node) traceWalkerEvent(w *Walker, kind WalkerEventKind, v graph.VertexID, trials int32, peer int) {
-	if n.tracer == nil || !n.tracer.TraceWalker(w.ID) {
-		return
-	}
 	n.tracer.OnWalkerEvent(WalkerTraceEvent{
 		Rank:      n.rank,
 		Iteration: int(n.curIter),

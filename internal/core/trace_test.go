@@ -6,6 +6,7 @@ package core_test
 // describe. Companion to obs's TestTelemetryDoesNotChangeWalkOutput.
 
 import (
+	"sync"
 	"testing"
 
 	"knightking/internal/alg"
@@ -13,6 +14,7 @@ import (
 	"knightking/internal/gen"
 	"knightking/internal/graph"
 	"knightking/internal/obs/tracelog"
+	"knightking/internal/transport"
 )
 
 func tracedConfig(g *graph.Graph) core.Config {
@@ -111,7 +113,21 @@ func TestTraceOnOffBitIdentical(t *testing.T) {
 // Perfetto export relies on: a sampled walker's step counter never
 // decreases across its journey events (each walker is stepped by one
 // goroutine at a time, and the ring preserves arrival order per walker).
+// It also pins which journeys are recorded: exactly the walkers the
+// Tracer samples, each to its finish, across every migration between the
+// two ranks, whether a migrating walker moves as an object or, with the
+// endpoints' LocalSender hidden, is encoded and decoded.
 func TestTraceSampledJourneyOrdered(t *testing.T) {
+	for _, wire := range []bool{false, true} {
+		name := "object"
+		if wire {
+			name = "wire"
+		}
+		t.Run(name, func(t *testing.T) { checkSampledJourneys(t, wire) })
+	}
+}
+
+func checkSampledJourneys(t *testing.T, wire bool) {
 	g := gen.UniformDegree(120, 5, 4)
 	tc := tracelog.New(tracelog.Options{SampleEvery: 8, Ranks: 2, Job: "ordered"})
 	cfg := core.Config{
@@ -123,8 +139,19 @@ func TestTraceSampledJourneyOrdered(t *testing.T) {
 		Observer:  tc,
 		Trace:     tc,
 	}
-	if _, err := core.Run(cfg); err != nil {
+	if wire {
+		eps := transport.NewInProcGroup(2)
+		for i, ep := range eps {
+			eps[i] = struct{ transport.Endpoint }{ep}
+		}
+		cfg.NumNodes, cfg.Endpoints = 0, eps
+	}
+	res, err := core.Run(cfg)
+	if err != nil {
 		t.Fatalf("run: %v", err)
+	}
+	if res.Counters.Messages == 0 {
+		t.Fatal("no walker migrated between the ranks")
 	}
 	events, _ := tc.Events()
 	lastStep := map[int64]int32{}
@@ -140,11 +167,77 @@ func TestTraceSampledJourneyOrdered(t *testing.T) {
 			t.Fatalf("walker %d step went backwards: %d after %d", ev.Walker, ev.Step, lastStep[ev.Walker])
 		}
 		lastStep[ev.Walker] = ev.Step
+		if !tc.TraceWalker(ev.Walker) {
+			t.Fatalf("journey event for unsampled walker %d", ev.Walker)
+		}
 		if ev.Kind == tracelog.KindWalkerFinish {
 			finished[ev.Walker] = true
 		}
 	}
-	if len(finished) == 0 {
-		t.Error("no sampled walker finished")
+	for id := int64(0); id < int64(g.NumVertices()); id++ {
+		if tc.TraceWalker(id) && !finished[id] {
+			t.Errorf("sampled walker %d has no finish event", id)
+		}
+	}
+}
+
+// TestTracePerRankTracers runs three ranks of one in-process group, each
+// with its own Tracer: one sampling every 4th walker, one with tracing
+// off and one sampling every 3rd. Walkers migrate between them as
+// objects, so each rank must decide a received walker's sampling again
+// under its own Tracer: a rank without one records nothing and does not
+// fault, and a rank with one records only the walkers it samples.
+func TestTracePerRankTracers(t *testing.T) {
+	g := gen.UniformDegree(120, 5, 6)
+	tracers := []*tracelog.Collector{
+		tracelog.New(tracelog.Options{SampleEvery: 4, Ranks: 3, Job: "rank0"}),
+		nil,
+		tracelog.New(tracelog.Options{SampleEvery: 3, Ranks: 3, Job: "rank2"}),
+	}
+	eps := transport.NewInProcGroup(3)
+	results := make([]*core.Result, 3)
+	errs := make([]error, 3)
+	var wg sync.WaitGroup
+	for i := range eps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cfg := core.Config{Graph: g, Algorithm: alg.DeepWalk(20, false), Workers: 2, Seed: 5}
+			if tracers[i] != nil {
+				cfg.Trace = tracers[i]
+			}
+			results[i], errs[i] = core.RunNode(cfg, eps[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", i, err)
+		}
+	}
+	if results[1].Counters.Messages == 0 {
+		t.Fatal("no walker migrated to the untraced rank")
+	}
+	for rank, tc := range tracers {
+		if tc == nil {
+			continue
+		}
+		events, _ := tc.Events()
+		journeys := 0
+		for _, ev := range events {
+			if ev.Walker < 0 {
+				continue
+			}
+			journeys++
+			if int(ev.Rank) != rank {
+				t.Fatalf("rank %d's tracer got an event of rank %d", rank, ev.Rank)
+			}
+			if !tc.TraceWalker(ev.Walker) {
+				t.Fatalf("rank %d's tracer got an event of walker %d, which it does not sample", rank, ev.Walker)
+			}
+		}
+		if journeys == 0 {
+			t.Fatalf("rank %d's tracer recorded no journey", rank)
+		}
 	}
 }

@@ -53,6 +53,12 @@ type Walker struct {
 	sampling bool
 	// awaiting marks a walker blocked on a remote state query.
 	awaiting bool
+	// traced marks a walker whose journey this rank's Tracer samples. It
+	// is decided once, where the walker is seeded or arrives (setTraced),
+	// so a walker event tests one flag instead of asking the Tracer. It
+	// sits in padding (the Walker does not grow) and stays out of the
+	// codec: every traced rank decides it again from the walker ID.
+	traced bool
 	// pendingEdge / pendingY hold the dart under evaluation while a remote
 	// query is outstanding.
 	pendingEdge int32
@@ -176,6 +182,7 @@ func decodeWalkerInto(w *Walker, buf []byte) ([]byte, error) {
 	}
 	w.sampling = buf[60]&1 != 0
 	w.awaiting = buf[60]&2 != 0
+	w.traced = false
 	histLen := int(buf[61])
 	pathLen := int(binary.LittleEndian.Uint16(buf[62:]))
 	buf = buf[walkerFixedLen:]

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"knightking/internal/graph"
 	"knightking/internal/rng"
@@ -177,5 +178,18 @@ func BenchmarkWalkerCodec(b *testing.B) {
 		if _, _, err := decodeWalker(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWalkerSizeUnchanged pins the Walker at 144 bytes on 64-bit targets:
+// the unencoded flags (sampling, awaiting, traced) share the padding
+// before pendingEdge, so a walker-struct load in the step pipeline still
+// spans the same cache lines.
+func TestWalkerSizeUnchanged(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Walker{}); got != 144 {
+		t.Fatalf("Walker is %d bytes, want 144", got)
 	}
 }

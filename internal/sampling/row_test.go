@@ -166,3 +166,36 @@ func FuzzAliasRow(f *testing.F) {
 		}
 	})
 }
+
+// TestSplitDrawMatchesDrawAlias: AliasBucket then ResolveAlias, the split
+// the step pipeline runs with a prefetch in between, returns the index
+// DrawAlias returns on an identical stream and leaves the stream in the
+// same state, on both the primary and the alias branch.
+func TestSplitDrawMatchesDrawAlias(t *testing.T) {
+	weights := []float32{3, 0, 1.5, 7, 0.25, 2, 0, 9.75, 1, 4.5, 0.125, 6}
+	row := make([]AliasEntry, len(weights))
+	if err := BuildAliasRow(row, weights, nil, new(AliasScratch)); err != nil {
+		t.Fatal(err)
+	}
+	whole, split := rng.New(31), rng.New(31)
+	var primary, alias int
+	for i := 0; i < 10000; i++ {
+		want := DrawAlias(row, whole)
+		b := AliasBucket(row, split)
+		got := ResolveAlias(row, b, split.Float64())
+		if got != want {
+			t.Fatalf("draw %d: split draw = %d, DrawAlias = %d", i, got, want)
+		}
+		if *split.State() != *whole.State() {
+			t.Fatalf("draw %d: streams diverged", i)
+		}
+		if got == b {
+			primary++
+		} else {
+			alias++
+		}
+	}
+	if primary == 0 || alias == 0 {
+		t.Fatalf("primary %d, alias %d draws: a branch went untested", primary, alias)
+	}
+}

@@ -200,11 +200,28 @@ func (a *Alias) Init(row []AliasEntry, weights []float32) {
 // DrawAlias draws an index of row in O(1), in proportion to the weights it
 // was built from: a uniform bucket, then its primary item with probability
 // Prob, else its alias — one Intn and one Float64 of r on either branch.
+// It is AliasBucket, then ResolveAlias on the next Float64; a caller that
+// splits the two can fetch the bucket's entry from memory in between.
 //
 //kk:hotpath
 func DrawAlias(row []AliasEntry, r *rng.Rand) int {
-	b := r.Intn(len(row))
-	if e := &row[b]; r.Float64() >= e.Prob {
+	b := AliasBucket(row, r)
+	return ResolveAlias(row, b, r.Float64())
+}
+
+// AliasBucket is the first half of DrawAlias: the uniform bucket, one Intn
+// of r. Nothing of row but its length is read.
+//
+//kk:hotpath
+func AliasBucket(row []AliasEntry, r *rng.Rand) int { return r.Intn(len(row)) }
+
+// ResolveAlias is the second half of DrawAlias: given the coin u, the
+// Float64 drawn after bucket b, it returns b's primary item if u < Prob,
+// else b's alias.
+//
+//kk:hotpath
+func ResolveAlias(row []AliasEntry, b int, u float64) int {
+	if e := &row[b]; u >= e.Prob {
 		return int(e.Alias)
 	}
 	return b
