@@ -208,7 +208,7 @@ func (b *batchState) grow(k int) {
 	b.rej = make([]*sampling.Rejection, k)   //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
 	b.act = make([]action, k)                //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
 	b.k = make([]int32, k)                   //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
-	b.dst = make([]graph.VertexID, k)
+	b.dst = make([]graph.VertexID, k)        //kk:alloc-ok amortized: batch arrays grow to the chunk size once, then are reused
 }
 
 // stepBatch advances walkers [base, end) through one step, stage-at-a-time

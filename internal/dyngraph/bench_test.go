@@ -3,6 +3,7 @@ package dyngraph
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -33,12 +34,13 @@ func benchBatches(n, pool, batches, size int, seed int64) [][]Delta {
 }
 
 // BenchmarkIngest measures end-to-end Apply cost — delta validation,
-// segment maintenance, envelope updates, incremental sampler rebuilds,
-// overlay flattening, epoch publication — per ingested edge. The sweep
-// over |V| with a fixed affected-vertex pool is the O(affected-vertex)
-// demonstration: if any ingest step rebuilt full-graph state (sampler
-// tables, content hash), ns/edge would scale with |V|; incrementally
-// maintained, it stays flat.
+// segment replay, incremental alias-row rebuilds, page cloning, epoch
+// publication — per ingested edge. The sweep over |V| with a fixed
+// affected-vertex pool is the O(affected-vertex) demonstration: if any
+// ingest step rebuilt full-graph state (sampler tables, content hash),
+// ns/edge would scale with |V|; incrementally maintained, it stays flat.
+// It compacts every 64 batches, so it cannot see how Apply's cost grows
+// with the pending overlay; BenchmarkApplyPending measures that.
 func BenchmarkIngest(b *testing.B) {
 	const (
 		batchSize = 256
@@ -70,6 +72,77 @@ func BenchmarkIngest(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/edge")
 			b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "edges/sec")
 		})
+	}
+}
+
+// pendingGraph returns a DynGraph over a |V|=n weighted graph of degree 8
+// that has ingested pending deltas in uniform-source 256-delta upsert
+// batches without compacting.
+func pendingGraph(tb testing.TB, n, pending int) *DynGraph {
+	tb.Helper()
+	base := gen.WithUniformWeights(gen.UniformDegree(n, 8, 161), 1, 5, 162)
+	d, err := New(base, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, batch := range benchBatches(n, n, pending/256, 256, 163) {
+		if _, err := d.Apply(batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return d
+}
+
+// BenchmarkApplyPending prices one 256-delta uniform-source Apply on a
+// 100k-vertex weighted graph of degree 8 against the number of deltas
+// already pending (ingested since the last compaction). Every iteration
+// derives from the same prepared epoch — the published epoch is the
+// whole writer state, so putting it back undoes the Apply — and thus
+// measures publication at exactly that overlay size. Publication is
+// O(batch): ns/op and B/op stay flat across the sweep.
+func BenchmarkApplyPending(b *testing.B) {
+	const n = 100_000
+	for _, pending := range []int{0, 4096, 16384, 65536, 262144} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			d := pendingGraph(b, n, pending)
+			start := d.Epoch()
+			batches := benchBatches(n, n, 64, 256, 164)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Apply(batches[i%len(batches)]); err != nil {
+					b.Fatal(err)
+				}
+				d.cur.Store(start)
+			}
+		})
+	}
+}
+
+// TestApplyAllocsFlatInPending bounds what an Apply allocates by the
+// batch, not by the overlay it lands on: the same fixed batches allocate
+// at most twice as many bytes on top of 64k pending deltas as on a fresh
+// epoch. A publish that copied the whole overlay per batch would
+// allocate several times more at 64k pending.
+func TestApplyAllocsFlatInPending(t *testing.T) {
+	const n = 20_000
+	batches := benchBatches(n, n, 8, 256, 165)
+	allocated := func(pending int) uint64 {
+		d := pendingGraph(t, n, pending)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, batch := range batches {
+			if _, err := d.Apply(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	fresh, loaded := allocated(0), allocated(65536)
+	t.Logf("bytes per Apply: %d at 0 pending, %d at 64k pending", fresh/uint64(len(batches)), loaded/uint64(len(batches)))
+	if loaded > 2*fresh {
+		t.Fatalf("Apply allocates %d bytes at 64k pending deltas, over twice the %d at 0", loaded, fresh)
 	}
 }
 

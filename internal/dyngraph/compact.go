@@ -1,9 +1,6 @@
 package dyngraph
 
-import (
-	"knightking/internal/graph"
-	"knightking/internal/sampling"
-)
+import "knightking/internal/graph"
 
 // testHookMidCompact, when set by tests, runs after the new base CSR is
 // materialized but before the epoch is published — the window a crash
@@ -31,18 +28,6 @@ func (d *DynGraph) compactLocked() (*Epoch, error) {
 	}
 	newBase := prev.view.Compacted()
 
-	// Fold the sampler store: a compacted vertex's edges are exactly its
-	// overlay segment's, so the overlay rows move into the dense base
-	// table as headers — no rebuild; O(V) header copy plus O(touched).
-	var store *samplerView
-	if prev.store != nil {
-		rows := append([][]sampling.AliasEntry(nil), prev.store.base...)
-		for i, v := range d.verts { // the overlay vertex list of prev.view
-			rows[v] = prev.store.tabs[i]
-		}
-		store = &samplerView{base: rows}
-	}
-
 	if testHookMidCompact != nil {
 		testHookMidCompact()
 	}
@@ -53,11 +38,9 @@ func (d *DynGraph) compactLocked() (*Epoch, error) {
 		fpKnown: true,
 		fp:      graph.Fingerprint(newBase),
 		logFP:   mixU64(prev.logFP, markCompact),
-		store:   store,
+		rows:    prev.rows,
 	}
 
-	d.base = newBase
-	d.verts, d.segs = nil, nil
 	d.pending = 0
 	d.compactions++
 	d.cur.Store(ep)

@@ -1,9 +1,10 @@
-// Package dyngraph adds dynamic graphs to the engine: a mutable delta
-// layer over the immutable CSR with an epoch/snapshot model. Writers
-// apply batches of edge insertions and deletions; each batch publishes a
-// new immutable Epoch whose view is a graph.Graph overlay (per-vertex
-// replacement segments over the shared base arrays), while walks keep
-// running against whichever epoch they admitted on. A compactor folds
+// Package dyngraph adds dynamic graphs to the engine: a delta layer over
+// the immutable CSR with an epoch/snapshot model. Writers apply batches
+// of edge insertions and deletions; each batch publishes a new immutable
+// Epoch whose view is a graph.Graph overlay (per-vertex replacement
+// segments in copy-on-write pages over the shared base arrays), derived
+// from the previous epoch's in O(batch), while walks keep running against
+// whichever epoch they admitted on. A compactor folds
 // the overlay into a fresh plain CSR once it grows past a threshold.
 //
 // The part that makes this cheap is *incremental* sampler maintenance,
@@ -17,20 +18,21 @@
 //
 // Determinism contract: same epoch + same seed ⇒ bit-identical walks,
 // and an overlay epoch walks exactly like its Compacted() CSR.
-// The package therefore keeps every structure in sorted slices — no maps
-// anywhere on the apply/compact path — and carries no clocks; timing
+// The package therefore keeps every structure in sorted slices and
+// vertex-indexed pages — no maps anywhere on the apply/compact path — and
+// carries no clocks; timing
 // belongs to the serving layer.
 package dyngraph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"knightking/internal/graph"
-	"knightking/internal/sampling"
 )
 
 // Op is a delta operation kind.
@@ -65,13 +67,6 @@ type Options struct {
 	CompactAfter int
 }
 
-// edgeRec is one live overlay edge.
-type edgeRec struct {
-	dst graph.VertexID
-	w   float32
-	t   int32
-}
-
 // Metrics is a point-in-time snapshot of a DynGraph's counters.
 type Metrics struct {
 	Epoch          uint64
@@ -83,21 +78,15 @@ type Metrics struct {
 	Compactions    int64
 }
 
-// DynGraph is a dynamic graph: an immutable base CSR plus per-vertex
-// delta segments, publishing immutable epochs. Apply and Compact are
-// serialized by an internal mutex; Epoch is lock-free and safe from any
-// goroutine.
+// DynGraph is a dynamic graph: a sequence of immutable epochs, each an
+// overlay of per-vertex segments over a shared base CSR. The current
+// epoch is the whole writer state: Apply derives the next epoch from it,
+// Compact folds it into a fresh base. Apply and Compact are serialized by
+// an internal mutex; Epoch is lock-free and safe from any goroutine.
 type DynGraph struct {
 	opt Options
 
-	mu   sync.Mutex
-	base *graph.Graph
-	// Overlay working state, parallel arrays keyed by the sorted vertex
-	// list: verts[i]'s live adjacency is segs[i]. Flattened into
-	// graph.NewOverlay arrays at each publish.
-	verts []graph.VertexID
-	segs  [][]edgeRec
-
+	mu             sync.Mutex
 	pending        int64 // deltas since the last compaction
 	appliedBatches int64
 	appliedDeltas  int64
@@ -123,44 +112,20 @@ func New(base *graph.Graph, opt Options) (*DynGraph, error) {
 		return nil, fmt.Errorf("dyngraph: negative CompactAfter")
 	}
 
-	d := &DynGraph{opt: opt, base: base}
-	store, err := baseStore(base)
+	rows, err := baseRows(base)
 	if err != nil {
 		return nil, err
 	}
 	fp := graph.Fingerprint(base)
+	d := &DynGraph{opt: opt}
 	d.cur.Store(&Epoch{
 		view:    base,
 		fpKnown: true,
 		fp:      fp,
 		logFP:   chainSeed(fp),
-		store:   store,
+		rows:    rows,
 	})
 	return d, nil
-}
-
-// baseStore prebuilds the per-vertex alias rows of a plain CSR in one
-// slab, or returns nil for unweighted graphs (the engine's uniform draw
-// needs no table; there is nothing worth caching).
-func baseStore(g *graph.Graph) (*samplerView, error) {
-	if !g.Weighted() {
-		return nil, nil
-	}
-	rows := make([][]sampling.AliasEntry, g.NumVertices())
-	slab := make([]sampling.AliasEntry, g.NumEdges())
-	var scratch sampling.AliasScratch
-	for v := range rows {
-		id := graph.VertexID(v)
-		deg := g.Degree(id)
-		if deg == 0 {
-			continue
-		}
-		rows[v], slab = slab[:deg:deg], slab[deg:]
-		if err := sampling.BuildAliasRow(rows[v], g.Weights(id), g.Neighbors(id), &scratch); err != nil {
-			return nil, fmt.Errorf("dyngraph: vertex %d: %w", v, err)
-		}
-	}
-	return &samplerView{base: rows}, nil
 }
 
 // Epoch returns the currently published epoch. The returned value is
@@ -172,10 +137,11 @@ func (d *DynGraph) Epoch() *Epoch {
 
 // Apply validates and applies one batch of deltas atomically: either the
 // whole batch lands and a new epoch is published, or the graph is
-// unchanged and an error describes the first offending delta. Sampler
-// maintenance is incremental — only vertices named as a Src in the batch
-// get their rows rebuilt; everything else is shared with
-// the previous epoch.
+// unchanged and an error describes the first offending delta. The cost
+// is O(batch) plus the degrees of the touched sources, however many
+// deltas are pending: only vertices named as a Src in the batch get new
+// segments and alias rows; everything else is shared with the previous
+// epoch through its copy-on-write pages.
 func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("dyngraph: empty batch")
@@ -183,108 +149,16 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	n := d.base.NumVertices()
-	weighted := d.base.Weighted()
-	typed := d.base.Typed()
-
-	// Copy-on-write working state: the slices are copied up front (cheap
-	// pointer copies), individual segments only when first touched, so a
-	// failed batch discards cleanly and published epochs are never
-	// disturbed.
-	verts := append([]graph.VertexID(nil), d.verts...)
-	segs := append([][]edgeRec(nil), d.segs...)
-	touched := make([]bool, len(verts))
-
-	// ensure returns the working index of v's segment, materializing it
-	// from the base adjacency on first touch (O(degree)).
-	ensure := func(v graph.VertexID) int {
-		i := sort.Search(len(verts), func(i int) bool { return verts[i] >= v })
-		if i < len(verts) && verts[i] == v {
-			if !touched[i] {
-				segs[i] = append([]edgeRec(nil), segs[i]...)
-				touched[i] = true
-			}
-			return i
-		}
-		adj := d.base.Neighbors(v)
-		ws := d.base.Weights(v)
-		ts := d.base.Types(v)
-		seg := make([]edgeRec, len(adj))
-		for j, dst := range adj {
-			seg[j].dst = dst
-			seg[j].w = 1
-			if ws != nil {
-				seg[j].w = ws[j]
-			}
-			if ts != nil {
-				seg[j].t = ts[j]
-			}
-		}
-		verts = append(verts, 0)
-		copy(verts[i+1:], verts[i:])
-		verts[i] = v
-		segs = append(segs, nil)
-		copy(segs[i+1:], segs[i:])
-		segs[i] = seg
-		touched = append(touched, false)
-		copy(touched[i+1:], touched[i:])
-		touched[i] = true
-		return i
-	}
-
-	for k := range batch {
-		del := &batch[k]
-		if int(del.Src) >= n || int(del.Dst) >= n {
-			return nil, fmt.Errorf("dyngraph: delta %d: edge %d->%d outside |V|=%d (the vertex set is fixed at load)", k, del.Src, del.Dst, n)
-		}
-		switch del.Op {
-		case OpInsert, "":
-			w := del.Weight
-			if weighted {
-				if !(w > 0) || math.IsInf(float64(w), 0) || math.IsNaN(float64(w)) {
-					return nil, fmt.Errorf("dyngraph: delta %d: weight %v on a weighted graph, want positive finite", k, w)
-				}
-			} else {
-				if w != 0 && w != 1 {
-					return nil, fmt.Errorf("dyngraph: delta %d: weight %v on an unweighted graph", k, w)
-				}
-				w = 1
-			}
-			if !typed && del.Type != 0 {
-				return nil, fmt.Errorf("dyngraph: delta %d: type %d on an untyped graph", k, del.Type)
-			}
-			i := ensure(del.Src)
-			seg := segs[i]
-			j := sort.Search(len(seg), func(j int) bool { return seg[j].dst >= del.Dst })
-			if j < len(seg) && seg[j].dst == del.Dst {
-				seg[j].w = w
-				seg[j].t = del.Type
-			} else {
-				seg = append(seg, edgeRec{})
-				copy(seg[j+1:], seg[j:])
-				seg[j] = edgeRec{dst: del.Dst, w: w, t: del.Type}
-				segs[i] = seg
-			}
-		case OpDelete:
-			i := ensure(del.Src)
-			seg := segs[i]
-			j := sort.Search(len(seg), func(j int) bool { return seg[j].dst >= del.Dst })
-			if j >= len(seg) || seg[j].dst != del.Dst {
-				return nil, fmt.Errorf("dyngraph: delta %d: delete of missing edge %d->%d", k, del.Src, del.Dst)
-			}
-			segs[i] = append(seg[:j], seg[j+1:]...)
-		default:
-			return nil, fmt.Errorf("dyngraph: delta %d: unknown op %q", k, del.Op)
-		}
-	}
-
-	view, err := flatten(d.base, verts, segs)
-	if err != nil {
-		return nil, err // unreachable if the invariants above hold
-	}
-
 	prev := d.cur.Load()
-	store, err := prev.store.extend(prev.view, view, verts, touched)
+	verts, segs, err := replay(prev.view, batch)
+	if err != nil {
+		return nil, err
+	}
+	view, err := graph.Derive(prev.view, verts, segs)
+	if err != nil {
+		return nil, err // unreachable if replay's invariants hold
+	}
+	rows, err := prev.rows.with(view, verts)
 	if err != nil {
 		return nil, err
 	}
@@ -309,10 +183,8 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 		seq:   prev.seq + 1,
 		view:  view,
 		logFP: logFP,
-		store: store,
+		rows:  rows,
 	}
-
-	d.verts, d.segs = verts, segs
 	d.pending += int64(len(batch))
 	d.appliedBatches++
 	d.appliedDeltas += int64(len(batch))
@@ -324,36 +196,107 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 	return ep, nil
 }
 
-// flatten materializes the working overlay state into a graph overlay
-// view sharing the base arrays.
-func flatten(base *graph.Graph, verts []graph.VertexID, segs [][]edgeRec) (*graph.Graph, error) {
-	total := 0
-	for _, seg := range segs {
-		total += len(seg)
+// replay applies batch to the adjacency of g and returns the touched
+// sources, strictly increasing, with their new segments. The deltas are
+// grouped by source with a stable sort, so each source replays its own
+// deltas in batch order over a fresh copy of its current adjacency. A
+// delta's validity depends only on earlier deltas of its own source, so
+// the smallest failing index over all groups is the delta a replay in
+// batch order would have stopped at, and that is the one the error names.
+func replay(g *graph.Graph, batch []Delta) ([]graph.VertexID, []graph.Segment, error) {
+	order := make([]int, len(batch))
+	for k := range order {
+		order[k] = k
 	}
-	offs := make([]int64, len(verts)+1)
-	dst := make([]graph.VertexID, 0, total)
-	var weight []float32
-	var etype []int32
-	if base.Weighted() {
-		weight = make([]float32, 0, total)
-	}
-	if base.Typed() {
-		etype = make([]int32, 0, total)
-	}
-	for i, seg := range segs {
-		for _, e := range seg {
-			dst = append(dst, e.dst)
-			if weight != nil {
-				weight = append(weight, e.w)
-			}
-			if etype != nil {
-				etype = append(etype, e.t)
-			}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(batch[a].Src, batch[b].Src) })
+
+	var verts []graph.VertexID
+	var segs []graph.Segment
+	bad, badErr := len(batch), error(nil)
+	for lo := 0; lo < len(order); {
+		src := batch[order[lo]].Src
+		hi := lo + 1
+		for hi < len(order) && batch[order[hi]].Src == src {
+			hi++
 		}
-		offs[i+1] = int64(len(dst))
+		seg, k, err := replaySource(g, batch, order[lo:hi])
+		if err != nil && k < bad {
+			bad, badErr = k, err
+		}
+		verts = append(verts, src)
+		segs = append(segs, seg)
+		lo = hi
 	}
-	return graph.NewOverlay(base, verts, offs, dst, weight, etype)
+	return verts, segs, badErr
+}
+
+// replaySource applies the deltas batch[idx[...]], all with the same
+// source, to a copy of that source's adjacency in g. On failure it
+// returns the offending delta's index in batch.
+func replaySource(g *graph.Graph, batch []Delta, idx []int) (graph.Segment, int, error) {
+	n := g.NumVertices()
+	src := batch[idx[0]].Src
+	var s graph.Segment
+	if int(src) < n {
+		grow := g.Degree(src) + len(idx)
+		s.Dst = append(make([]graph.VertexID, 0, grow), g.Neighbors(src)...)
+		if g.Weighted() {
+			s.Weight = append(make([]float32, 0, grow), g.Weights(src)...)
+		}
+		if g.Typed() {
+			s.Type = append(make([]int32, 0, grow), g.Types(src)...)
+		}
+	}
+	for _, k := range idx {
+		del := &batch[k]
+		if int(del.Src) >= n || int(del.Dst) >= n {
+			return s, k, fmt.Errorf("dyngraph: delta %d: edge %d->%d outside |V|=%d (the vertex set is fixed at load)", k, del.Src, del.Dst, n)
+		}
+		j, found := slices.BinarySearch(s.Dst, del.Dst)
+		switch del.Op {
+		case OpInsert, "":
+			w := del.Weight
+			if g.Weighted() {
+				if !(w > 0) || math.IsInf(float64(w), 0) || math.IsNaN(float64(w)) {
+					return s, k, fmt.Errorf("dyngraph: delta %d: weight %v on a weighted graph, want positive finite", k, w)
+				}
+			} else if w != 0 && w != 1 {
+				return s, k, fmt.Errorf("dyngraph: delta %d: weight %v on an unweighted graph", k, w)
+			}
+			if !g.Typed() && del.Type != 0 {
+				return s, k, fmt.Errorf("dyngraph: delta %d: type %d on an untyped graph", k, del.Type)
+			}
+			if !found {
+				s.Dst = slices.Insert(s.Dst, j, del.Dst)
+				if s.Weight != nil {
+					s.Weight = slices.Insert(s.Weight, j, 0)
+				}
+				if s.Type != nil {
+					s.Type = slices.Insert(s.Type, j, 0)
+				}
+			}
+			if s.Weight != nil {
+				s.Weight[j] = w
+			}
+			if s.Type != nil {
+				s.Type[j] = del.Type
+			}
+		case OpDelete:
+			if !found {
+				return s, k, fmt.Errorf("dyngraph: delta %d: delete of missing edge %d->%d", k, del.Src, del.Dst)
+			}
+			s.Dst = slices.Delete(s.Dst, j, j+1)
+			if s.Weight != nil {
+				s.Weight = slices.Delete(s.Weight, j, j+1)
+			}
+			if s.Type != nil {
+				s.Type = slices.Delete(s.Type, j, j+1)
+			}
+		default:
+			return s, k, fmt.Errorf("dyngraph: delta %d: unknown op %q", k, del.Op)
+		}
+	}
+	return s, 0, nil
 }
 
 // Metrics returns a consistent snapshot of the counters.

@@ -2,6 +2,7 @@ package dyngraph
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"knightking/internal/gen"
@@ -260,6 +261,32 @@ func TestApplyErrors(t *testing.T) {
 	for i, batch := range bad {
 		if _, err := d.Apply(batch); err == nil {
 			t.Errorf("bad batch %d accepted", i)
+		}
+	}
+	// The error names the first offending delta in batch order, also when
+	// a later offender's source sorts first.
+	view := before.View()
+	missing := func(src graph.VertexID) graph.VertexID {
+		v := graph.VertexID(0)
+		for view.HasEdge(src, v) {
+			v++
+		}
+		return v
+	}
+	for _, tc := range []struct {
+		batch []Delta
+		want  string
+	}{
+		{[]Delta{{Op: OpDelete, Src: 5, Dst: missing(5)}, {Src: 1, Dst: 99, Weight: 1}}, "delta 0:"},
+		{[]Delta{
+			{Src: 1, Dst: 2, Weight: 1},
+			{Src: 7, Dst: view.Neighbors(7)[0], Weight: 2},
+			{Op: OpDelete, Src: 7, Dst: missing(7)},
+			{Src: 0, Dst: 1, Weight: -1},
+		}, "delta 2:"},
+	} {
+		if _, err := d.Apply(tc.batch); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("batch %+v: error %v, want one naming %q", tc.batch, err, tc.want)
 		}
 	}
 	if d.Epoch() != before {

@@ -25,7 +25,7 @@ type Epoch struct {
 	fp      uint64
 
 	logFP uint64
-	store *samplerView
+	rows  rowTable
 }
 
 // Seq returns the epoch sequence number (0 = the loaded base).
@@ -56,53 +56,77 @@ func (e *Epoch) DeltaStats() (verts int, edges int64) {
 // has none (unweighted graph, or a zero-degree vertex) and the caller
 // should build its own. Implements the engine's SamplerProvider.
 func (e *Epoch) AliasRow(v graph.VertexID) []sampling.AliasEntry {
-	if e.store == nil {
+	if e.rows == nil {
 		return nil
 	}
-	if i := e.view.OverlayIndex(v); i >= 0 {
-		return e.store.tabs[i]
-	}
-	return e.store.base[v]
+	return e.rows[v/graph.PageSize][v%graph.PageSize]
 }
 
-// samplerView is an epoch's per-vertex alias rows: a dense base table
-// (index = vertex) plus tabs, parallel to the epoch view's overlay vertex
-// list, for vertices whose adjacency diverged from the base. Row headers
-// are copied across epochs, the rows themselves shared; an Apply only
-// builds rows for the vertices it touched.
-type samplerView struct {
-	base [][]sampling.AliasEntry
-	tabs [][]sampling.AliasEntry
-}
+// rowTable is an epoch's alias rows, indexed by vertex through a
+// directory of immutable pages of the same size as the overlay view's,
+// every page present. An Apply copies the directory and clones only the
+// pages holding a vertex it touched, so every other row (and page) is
+// shared with earlier epochs; a compaction keeps the table as it is,
+// since a compacted vertex's edges are exactly its overlay segment's.
+// nil for unweighted graphs.
+type rowTable []*rowPage
 
-// extend produces the next epoch's rows over next, the updated overlay
-// view, rebuilding only where touched[i] is set (O(degree) each, Dst taken
-// from the vertex's new segment); every other vertex is overlaid in prev,
-// the view s belongs to, and keeps its row. nil receiver (unweighted
-// graph) stays nil.
-func (s *samplerView) extend(prev, next *graph.Graph, verts []graph.VertexID, touched []bool) (*samplerView, error) {
-	if s == nil {
+type rowPage [graph.PageSize][]sampling.AliasEntry
+
+// baseRows prebuilds the per-vertex alias rows of a plain CSR in one
+// slab, or returns nil for unweighted graphs (the engine's uniform draw
+// needs no table; there is nothing worth caching).
+func baseRows(g *graph.Graph) (rowTable, error) {
+	if !g.Weighted() {
 		return nil, nil
 	}
-	out := &samplerView{
-		base: s.base,
-		tabs: make([][]sampling.AliasEntry, len(verts)),
+	n := g.NumVertices()
+	rows := make(rowTable, (n+graph.PageSize-1)/graph.PageSize)
+	for p := range rows {
+		rows[p] = new(rowPage)
 	}
+	slab := make([]sampling.AliasEntry, g.NumEdges())
 	var scratch sampling.AliasScratch
-	for i, v := range verts {
-		if !touched[i] {
-			out.tabs[i] = s.tabs[prev.OverlayIndex(v)]
+	for v := 0; v < n; v++ {
+		id := graph.VertexID(v)
+		deg := g.Degree(id)
+		if deg == 0 {
 			continue
 		}
-		deg := next.Degree(v)
-		if deg == 0 {
-			continue // zero-degree: no row, like the base convention
+		row := slab[:deg:deg]
+		slab = slab[deg:]
+		if err := sampling.BuildAliasRow(row, g.Weights(id), g.Neighbors(id), &scratch); err != nil {
+			return nil, fmt.Errorf("dyngraph: vertex %d: %w", v, err)
 		}
-		row := make([]sampling.AliasEntry, deg)
-		if err := sampling.BuildAliasRow(row, next.Weights(v), next.Neighbors(v), &scratch); err != nil {
-			return nil, fmt.Errorf("dyngraph: rebuild sampler of vertex %d: %w", v, err)
+		rows[v/graph.PageSize][v%graph.PageSize] = row
+	}
+	return rows, nil
+}
+
+// with returns the next epoch's rows over next, the updated view: verts
+// (strictly increasing) get rows rebuilt from their new adjacency,
+// O(degree) each, and every other row is shared with t. A nil table
+// (unweighted graph) stays nil.
+func (t rowTable) with(next *graph.Graph, verts []graph.VertexID) (rowTable, error) {
+	if t == nil {
+		return nil, nil
+	}
+	out := append(rowTable(nil), t...)
+	var scratch sampling.AliasScratch
+	for _, v := range verts {
+		p := v / graph.PageSize
+		if out[p] == t[p] {
+			page := *t[p]
+			out[p] = &page
 		}
-		out.tabs[i] = row
+		var row []sampling.AliasEntry
+		if deg := next.Degree(v); deg > 0 { // zero-degree: no row, like the base convention
+			row = make([]sampling.AliasEntry, deg)
+			if err := sampling.BuildAliasRow(row, next.Weights(v), next.Neighbors(v), &scratch); err != nil {
+				return nil, fmt.Errorf("dyngraph: rebuild sampler of vertex %d: %w", v, err)
+			}
+		}
+		out[p][v%graph.PageSize] = row
 	}
 	return out, nil
 }

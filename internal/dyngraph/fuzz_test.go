@@ -15,12 +15,18 @@ import (
 // view's MaxWeight must be the rebuilt graph's exact maximum at every
 // vertex, and every prebuilt alias row must equal the row built from the
 // rebuilt graph, its Dst sequence the compacted view's adjacency (a stale
-// Dst would walk a deleted edge, which a degree check cannot see).
+// Dst would walk a deleted edge, which a degree check cannot see). Every
+// published epoch is kept with its rebuilt graph and re-checked after each
+// later Apply: successive epochs share copy-on-write pages, so a write
+// through a shared page would show up as an earlier epoch changing.
 func FuzzApplyDeltas(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x40})
 	f.Add([]byte{0x81, 0x02, 0x01, 0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x00, 0x00})
 	f.Add([]byte{0x81, 0x02, 0x13, 0x00}) // deletes vertex 2's maximum-weight edge
+	// Three one-delta batches on vertex 1: each epoch clones the page its
+	// predecessor published, which must stay as it was.
+	f.Add([]byte{0x80, 0x01, 0x05, 0x04, 0x80, 0x01, 0x06, 0x08, 0x81, 0x01, 0x05, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		base := gen.WithUniformWeights(gen.UniformDegree(24, 4, 127), 1, 5, 128)
 		d, err := New(base, Options{CompactAfter: 32})
@@ -28,6 +34,11 @@ func FuzzApplyDeltas(f *testing.F) {
 			t.Fatal(err)
 		}
 		m := modelOf(base)
+		type published struct {
+			ep      *Epoch
+			rebuilt *graph.Graph
+		}
+		var kept []published
 
 		// Decode data into batches: each 4-byte group is one delta
 		// (op/batch-break, src, dst, weight quarter-steps); a high op bit
@@ -58,19 +69,14 @@ func FuzzApplyDeltas(f *testing.F) {
 					}
 				}
 				assertTablesMatch(t, ep, rebuilt)
-				compacted := view.Compacted()
-				for v := 0; v < compacted.NumVertices(); v++ {
-					id := graph.VertexID(v)
-					row, adj := ep.AliasRow(id), compacted.Neighbors(id)
-					if len(row) != len(adj) {
-						t.Fatalf("vertex %d: row over %d edges, compacted degree %d", v, len(row), len(adj))
+				assertRowDsts(t, ep, view.Compacted(), batch)
+				for _, old := range kept {
+					if graph.Fingerprint(old.ep.View().Compacted()) != graph.Fingerprint(old.rebuilt) {
+						t.Fatalf("epoch %d changed content after batch %+v", old.ep.Seq(), batch)
 					}
-					for i, e := range row {
-						if e.Dst != adj[i] {
-							t.Fatalf("vertex %d edge %d: row walks to %d, compacted view to %d, after batch %+v", v, i, e.Dst, adj[i], batch)
-						}
-					}
+					assertRowDsts(t, old.ep, old.rebuilt, batch)
 				}
+				kept = append(kept, published{ep, rebuilt})
 			} else {
 				// Failed batches must keep the model in sync: rebuild the
 				// model from the current epoch.
@@ -105,4 +111,22 @@ func FuzzApplyDeltas(f *testing.F) {
 			t.Fatal("compacted CSR diverged from rebuilt CSR")
 		}
 	})
+}
+
+// assertRowDsts checks that every alias row of ep walks to exactly the
+// adjacency of want, edge by edge.
+func assertRowDsts(t *testing.T, ep *Epoch, want *graph.Graph, batch []Delta) {
+	t.Helper()
+	for v := 0; v < want.NumVertices(); v++ {
+		id := graph.VertexID(v)
+		row, adj := ep.AliasRow(id), want.Neighbors(id)
+		if len(row) != len(adj) {
+			t.Fatalf("epoch %d vertex %d: row over %d edges, degree %d", ep.Seq(), v, len(row), len(adj))
+		}
+		for i, e := range row {
+			if e.Dst != adj[i] {
+				t.Fatalf("epoch %d vertex %d edge %d: row walks to %d, adjacency to %d, after batch %+v", ep.Seq(), v, i, e.Dst, adj[i], batch)
+			}
+		}
+	}
 }

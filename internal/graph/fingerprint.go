@@ -64,39 +64,25 @@ func Fingerprint(g *Graph) uint64 {
 	}
 	// Overlay section, appended only when present: a delta-free graph keeps
 	// the exact hash it had before overlays existed, so registry identities
-	// recorded by older builds stay valid. The section covers every overlay
-	// array, so two epochs differ whenever any replaced adjacency, weight,
-	// or type differs.
-	if g.over != nil {
-		o := g.over
+	// recorded by older builds stay valid. The section covers every
+	// overlaid vertex with its whole length-prefixed segment, so two epochs
+	// differ whenever any replaced adjacency, weight, or type differs.
+	if o := g.over; o != nil {
 		mix(1)
-		mix(uint64(len(o.verts)))
-		for _, v := range o.verts {
+		mix(uint64(o.verts))
+		o.overlaid(func(v VertexID, s *Segment) {
 			mix(uint64(v))
-		}
-		for _, off := range o.offs {
-			mix(uint64(off))
-		}
-		mix(uint64(len(o.dst)))
-		for _, d := range o.dst {
-			mix(uint64(d))
-		}
-		if o.weight == nil {
-			mix(0)
-		} else {
-			mix(1)
-			for _, w := range o.weight {
+			mix(uint64(len(s.Dst)))
+			for _, d := range s.Dst {
+				mix(uint64(d))
+			}
+			for _, w := range s.Weight {
 				mix(uint64(math.Float32bits(w)))
 			}
-		}
-		if o.etype == nil {
-			mix(0)
-		} else {
-			mix(1)
-			for _, t := range o.etype {
+			for _, t := range s.Type {
 				mix(uint64(uint32(t)))
 			}
-		}
+		})
 	}
 	return h
 }

@@ -69,8 +69,8 @@ func (g *Graph) Typed() bool { return g.etype != nil }
 func (g *Graph) Degree(v VertexID) int {
 	g.checkOwned(v)
 	if g.over != nil {
-		if i := g.over.find(v); i >= 0 {
-			return int(g.over.offs[i+1] - g.over.offs[i])
+		if s := g.over.seg(v); s != nil {
+			return len(s.Dst)
 		}
 	}
 	return int(g.offsets[v+1] - g.offsets[v])
@@ -84,8 +84,8 @@ func (g *Graph) Degree(v VertexID) int {
 func (g *Graph) Neighbors(v VertexID) []VertexID {
 	g.checkOwned(v)
 	if g.over != nil {
-		if i := g.over.find(v); i >= 0 {
-			return g.over.dst[g.over.offs[i]:g.over.offs[i+1]]
+		if s := g.over.seg(v); s != nil {
+			return s.Dst
 		}
 	}
 	return g.dst[g.offsets[v]:g.offsets[v+1]]
@@ -101,8 +101,8 @@ func (g *Graph) Weights(v VertexID) []float32 {
 		return nil
 	}
 	if g.over != nil {
-		if i := g.over.find(v); i >= 0 {
-			return g.over.weight[g.over.offs[i]:g.over.offs[i+1]]
+		if s := g.over.seg(v); s != nil {
+			return s.Weight
 		}
 	}
 	return g.weight[g.offsets[v]:g.offsets[v+1]]
@@ -118,8 +118,8 @@ func (g *Graph) Types(v VertexID) []int32 {
 		return nil
 	}
 	if g.over != nil {
-		if i := g.over.find(v); i >= 0 {
-			return g.over.etype[g.over.offs[i]:g.over.offs[i+1]]
+		if s := g.over.seg(v); s != nil {
+			return s.Type
 		}
 	}
 	return g.etype[g.offsets[v]:g.offsets[v+1]]
@@ -132,14 +132,13 @@ func (g *Graph) Types(v VertexID) []int32 {
 func (g *Graph) EdgeAt(v VertexID, i int) Edge {
 	g.checkOwned(v)
 	if g.over != nil {
-		if oi := g.over.find(v); oi >= 0 {
-			idx := g.over.offs[oi] + int64(i)
-			e := Edge{Dst: g.over.dst[idx], Weight: 1}
-			if g.over.weight != nil {
-				e.Weight = g.over.weight[idx]
+		if s := g.over.seg(v); s != nil {
+			e := Edge{Dst: s.Dst[i], Weight: 1}
+			if s.Weight != nil {
+				e.Weight = s.Weight[i]
 			}
-			if g.over.etype != nil {
-				e.Type = g.over.etype[idx]
+			if s.Type != nil {
+				e.Type = s.Type[i]
 			}
 			return e
 		}
@@ -164,8 +163,8 @@ func (g *Graph) EdgeWeight(v VertexID, i int) float32 {
 		return 1
 	}
 	if g.over != nil {
-		if oi := g.over.find(v); oi >= 0 {
-			return g.over.weight[g.over.offs[oi]+int64(i)]
+		if s := g.over.seg(v); s != nil {
+			return s.Weight[i]
 		}
 	}
 	return g.weight[g.offsets[v]+int64(i)]

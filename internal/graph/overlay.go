@@ -1,103 +1,94 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Overlay support: a Graph may carry an overlay — per-vertex replacement
 // adjacency segments layered over the immutable base CSR arrays. An
 // overlay graph is the engine-facing materialization of one dynamic-graph
 // epoch (internal/dyngraph): vertices touched by edge ingest since the
 // last compaction resolve to their overlay segment, every other vertex
-// resolves to the base arrays it shares with sibling epochs. The view is
-// itself immutable; writers produce a new view per epoch (copy-on-write
-// of the overlay arrays only), so concurrent walks on older epochs are
-// never disturbed.
+// resolves to the base arrays it shares with sibling epochs.
 //
-// Lookup cost is one nil check for plain graphs and two array loads
-// through a page table for overlay graphs, so a step on an epoch costs
-// the same as on a plain CSR; the base arrays are never copied.
+// The overlay is a page directory of immutable, separately allocated
+// pages of segment pointers. Derive builds the next epoch's view from the
+// previous one by copying the directory and cloning only the pages the
+// batch touched, so publishing costs O(batch + V/PageSize) however large
+// the overlay has grown, and every earlier view stays intact for the
+// walks still running on it.
+//
+// Lookup cost is one nil check for plain graphs and three dependent
+// loads for overlay graphs, so a step on an epoch costs about what it
+// costs on a plain CSR; the base arrays are never copied.
 type overlayData struct {
-	// verts lists the vertices whose adjacency is replaced, strictly
-	// increasing. offs is the CSR-style offset array into the segment
-	// arrays below (len(verts)+1 entries, offs[0] == 0).
-	verts []VertexID
-	offs  []int64
+	// pages[v>>pageBits][v&pageMask] is v's replacement segment; a nil
+	// page or a nil entry means v reads the base arrays.
+	pages []*overlayPage
 
-	// pages[v>>overlayPageBits][v&overlayPageMask] holds v's slot in verts
-	// plus one (0 = base); a page with no overlaid vertex is nil.
-	pages [][]int32
-
-	// Replacement adjacency, concatenated in verts order; each segment is
-	// sorted by destination. weight and etype are present exactly when the
-	// base arrays are.
-	dst    []VertexID
-	weight []float32
-	etype  []int32
-
-	// edgeDelta is len(dst) minus the base degree sum of verts: the edge
-	// count adjustment NumEdges applies.
+	// verts counts the overlaid vertices; edgeDelta is the overlay's
+	// total segment length minus the base degree sum of those vertices,
+	// the edge count adjustment NumEdges applies.
+	verts     int
 	edgeDelta int64
 }
 
-// An overlay page covers 4,096 vertices: 16 KiB of slots.
+// PageSize is the vertex span of one copy-on-write page of an overlay
+// view (and of the dynamic graph's alias-row table): 64 vertices, so a
+// cloned page is 512 bytes of pointers and the directory holds one
+// pointer per 64 vertices.
 const (
-	overlayPageBits = 12
-	overlayPageMask = 1<<overlayPageBits - 1
+	pageBits = 6
+	PageSize = 1 << pageBits
+	pageMask = PageSize - 1
 )
 
-// find returns the overlay index of v, or -1 when v's adjacency comes
-// from the base arrays.
-//
-//kk:hotpath
-func (o *overlayData) find(v VertexID) int {
-	page := o.pages[v>>overlayPageBits]
-	if page == nil {
-		return -1
-	}
-	return int(page[v&overlayPageMask]) - 1
+type overlayPage [PageSize]*Segment
+
+// Segment is one vertex's replacement adjacency in an overlay view:
+// destinations sorted ascending, with parallel weights and types present
+// exactly when the base graph has them.
+type Segment struct {
+	Dst    []VertexID
+	Weight []float32
+	Type   []int32
 }
 
-// NewOverlay returns a view of base with the adjacency of verts[i]
-// replaced by the i-th segment of the given CSR-style arrays
-// (dst[offs[i]:offs[i+1]], with parallel weight/etype slices when base is
-// weighted/typed). The returned graph shares every input slice — callers
-// must treat them as frozen from here on.
-func NewOverlay(base *Graph, verts []VertexID, offs []int64, dst []VertexID, weight []float32, etype []int32) (*Graph, error) {
-	if base == nil {
+// seg returns v's replacement segment, or nil when v reads the base
+// arrays.
+//
+//kk:hotpath
+func (o *overlayData) seg(v VertexID) *Segment {
+	page := o.pages[v>>pageBits]
+	if page == nil {
+		return nil
+	}
+	return page[v&pageMask]
+}
+
+// Derive returns a view of prev with the adjacency of verts[i] (strictly
+// increasing) replaced by segs[i]. prev may be a plain full CSR or an
+// earlier overlay view; the result shares prev's base arrays and every
+// segment and page of prev the batch did not touch, and validates only
+// the new segments. The view points into segs and shares the segments'
+// slices — callers must treat both as frozen from here on. prev is
+// unchanged.
+func Derive(prev *Graph, verts []VertexID, segs []Segment) (*Graph, error) {
+	if prev == nil {
 		return nil, fmt.Errorf("graph: overlay over nil base")
 	}
-	if base.partial {
+	if prev.partial {
 		return nil, fmt.Errorf("graph: overlay over a partition-local slice is not supported")
 	}
-	if base.over != nil {
-		return nil, fmt.Errorf("graph: overlays do not stack; compact the base first")
+	if len(segs) != len(verts) {
+		return nil, fmt.Errorf("graph: %d overlay segments for %d vertices", len(segs), len(verts))
 	}
-	n := base.NumVertices()
-	if len(offs) != len(verts)+1 {
-		return nil, fmt.Errorf("graph: overlay offs length %d, want %d", len(offs), len(verts)+1)
+	n := prev.NumVertices()
+	next := &overlayData{pages: make([]*overlayPage, (n+pageMask)>>pageBits)}
+	var oldPages []*overlayPage
+	if old := prev.over; old != nil {
+		oldPages = old.pages
+		copy(next.pages, oldPages)
+		next.verts, next.edgeDelta = old.verts, old.edgeDelta
 	}
-	if len(offs) > 0 && offs[0] != 0 {
-		return nil, fmt.Errorf("graph: overlay offs[0] = %d, want 0", offs[0])
-	}
-	if (base.weight != nil) != (weight != nil) {
-		return nil, fmt.Errorf("graph: overlay weight presence must match the base")
-	}
-	if (base.etype != nil) != (etype != nil) {
-		return nil, fmt.Errorf("graph: overlay type presence must match the base")
-	}
-	if weight != nil && len(weight) != len(dst) {
-		return nil, fmt.Errorf("graph: overlay weight length %d != dst length %d", len(weight), len(dst))
-	}
-	if etype != nil && len(etype) != len(dst) {
-		return nil, fmt.Errorf("graph: overlay type length %d != dst length %d", len(etype), len(dst))
-	}
-	if len(verts) >= math.MaxInt32 {
-		return nil, fmt.Errorf("graph: overlay of %d vertices exceeds the slot range", len(verts))
-	}
-	pages := make([][]int32, (n+overlayPageMask)>>overlayPageBits)
-	baseDeg := int64(0)
 	for i, v := range verts {
 		if int(v) >= n {
 			return nil, fmt.Errorf("graph: overlay vertex %d outside |V|=%d", v, n)
@@ -105,59 +96,47 @@ func NewOverlay(base *Graph, verts []VertexID, offs []int64, dst []VertexID, wei
 		if i > 0 && verts[i-1] >= v {
 			return nil, fmt.Errorf("graph: overlay vertices not strictly increasing at %d", v)
 		}
-		if offs[i+1] < offs[i] || offs[i+1] > int64(len(dst)) {
-			return nil, fmt.Errorf("graph: overlay offsets not monotone at vertex %d", v)
+		s := &segs[i]
+		if prev.weight == nil && s.Weight != nil || prev.weight != nil && len(s.Weight) != len(s.Dst) {
+			return nil, fmt.Errorf("graph: overlay weights of vertex %d must match the base and the segment length", v)
 		}
-		seg := dst[offs[i]:offs[i+1]]
-		for j, d := range seg {
+		if prev.etype == nil && s.Type != nil || prev.etype != nil && len(s.Type) != len(s.Dst) {
+			return nil, fmt.Errorf("graph: overlay types of vertex %d must match the base and the segment length", v)
+		}
+		for j, d := range s.Dst {
 			if int(d) >= n {
 				return nil, fmt.Errorf("graph: overlay edge %d->%d out of range (|V|=%d)", v, d, n)
 			}
-			if j > 0 && seg[j-1] > d {
+			if j > 0 && s.Dst[j-1] > d {
 				return nil, fmt.Errorf("graph: overlay adjacency of %d not sorted", v)
 			}
 		}
-		baseDeg += base.offsets[v+1] - base.offsets[v]
-		if pages[v>>overlayPageBits] == nil {
-			pages[v>>overlayPageBits] = make([]int32, overlayPageMask+1)
+		next.edgeDelta += int64(len(s.Dst) - prev.Degree(v))
+		p := v >> pageBits
+		if page := next.pages[p]; page == nil || oldPages != nil && page == oldPages[p] {
+			clone := new(overlayPage)
+			if page != nil {
+				*clone = *page
+			}
+			next.pages[p] = clone
 		}
-		pages[v>>overlayPageBits][v&overlayPageMask] = int32(i + 1)
-	}
-	if len(dst) > 0 && int64(len(dst)) != offs[len(offs)-1] {
-		return nil, fmt.Errorf("graph: overlay dst length %d != offs end %d", len(dst), offs[len(offs)-1])
+		if next.pages[p][v&pageMask] == nil {
+			next.verts++
+		}
+		next.pages[p][v&pageMask] = s
 	}
 	return &Graph{
-		offsets: base.offsets,
-		dst:     base.dst,
-		weight:  base.weight,
-		etype:   base.etype,
-		over: &overlayData{
-			verts:     verts,
-			offs:      offs,
-			pages:     pages,
-			dst:       dst,
-			weight:    weight,
-			etype:     etype,
-			edgeDelta: int64(len(dst)) - baseDeg,
-		},
+		offsets: prev.offsets,
+		dst:     prev.dst,
+		weight:  prev.weight,
+		etype:   prev.etype,
+		over:    next,
 	}, nil
 }
 
 // Overlaid reports whether this graph is an overlay view (a dynamic-graph
 // epoch materialization) rather than a plain CSR.
 func (g *Graph) Overlaid() bool { return g.over != nil }
-
-// OverlayIndex returns v's position in the overlay vertex list given to
-// NewOverlay, or -1 when v reads the base arrays (always, for plain
-// graphs), in O(1).
-//
-//kk:hotpath
-func (g *Graph) OverlayIndex(v VertexID) int {
-	if g.over == nil {
-		return -1
-	}
-	return g.over.find(v)
-}
 
 // OverlayStats reports the overlay's size: how many vertices have
 // replacement segments and the net edge-count delta versus the base.
@@ -166,7 +145,22 @@ func (g *Graph) OverlayStats() (verts int, edgeDelta int64) {
 	if g.over == nil {
 		return 0, 0
 	}
-	return len(g.over.verts), g.over.edgeDelta
+	return g.over.verts, g.over.edgeDelta
+}
+
+// overlaid calls fn with every overlaid vertex and its segment, in
+// increasing vertex order.
+func (o *overlayData) overlaid(fn func(v VertexID, s *Segment)) {
+	for p, page := range o.pages {
+		if page == nil {
+			continue
+		}
+		for i, s := range page {
+			if s != nil {
+				fn(VertexID(p<<pageBits|i), s)
+			}
+		}
+	}
 }
 
 // Compacted materializes an overlay view into a fresh plain CSR graph in

@@ -28,11 +28,29 @@ func overlayFixture(t *testing.T) (base, over *Graph) {
 	dst := []VertexID{2, 3, 4, 0}
 	weight := []float32{1.0, 2.5, 0.5, 9.0}
 	etype := []int32{0, 1, 2, 0}
-	g, err := NewOverlay(base, verts, offs, dst, weight, etype)
+	g, err := Derive(base, verts, segmentsOf(offs, dst, weight, etype))
 	if err != nil {
-		t.Fatalf("NewOverlay: %v", err)
+		t.Fatalf("Derive: %v", err)
 	}
 	return base, g
+}
+
+// segmentsOf splits CSR-style overlay arrays into one Segment per vertex:
+// segment i is dst[offs[i]:offs[i+1]] with its parallel weight and type
+// slices (nil where the array is nil).
+func segmentsOf(offs []int64, dst []VertexID, weight []float32, etype []int32) []Segment {
+	segs := make([]Segment, len(offs)-1)
+	for i := range segs {
+		lo, hi := offs[i], offs[i+1]
+		segs[i].Dst = dst[lo:hi]
+		if weight != nil {
+			segs[i].Weight = weight[lo:hi]
+		}
+		if etype != nil {
+			segs[i].Type = etype[lo:hi]
+		}
+	}
+	return segs
 }
 
 // rebuildFixture builds from scratch the graph the overlay fixture should
@@ -121,46 +139,93 @@ func TestOverlayValidation(t *testing.T) {
 	unw := NewBuilder(3)
 	unw.AddEdge(0, 1)
 	unweighted := unw.Build()
+	empty := Segment{Dst: []VertexID{}, Weight: []float32{}, Type: []int32{}}
 
 	cases := []struct {
 		name  string
 		build func() (*Graph, error)
 	}{
 		{"nil base", func() (*Graph, error) {
-			return NewOverlay(nil, nil, []int64{0}, nil, nil, nil)
+			return Derive(nil, nil, nil)
 		}},
-		{"offs length", func() (*Graph, error) {
-			return NewOverlay(base, []VertexID{1}, []int64{0}, nil, nil, nil)
+		{"segment count", func() (*Graph, error) {
+			return Derive(base, []VertexID{1}, nil)
 		}},
 		{"missing weights", func() (*Graph, error) {
-			return NewOverlay(base, []VertexID{1}, []int64{0, 1}, []VertexID{2}, nil, []int32{0})
+			return Derive(base, []VertexID{1}, []Segment{{Dst: []VertexID{2}, Type: []int32{0}}})
+		}},
+		{"missing types", func() (*Graph, error) {
+			return Derive(base, []VertexID{1}, []Segment{{Dst: []VertexID{2}, Weight: []float32{1}}})
 		}},
 		{"weights on unweighted base", func() (*Graph, error) {
-			return NewOverlay(unweighted, []VertexID{0}, []int64{0, 1}, []VertexID{1}, []float32{1}, nil)
+			return Derive(unweighted, []VertexID{0}, []Segment{{Dst: []VertexID{1}, Weight: []float32{1}}})
 		}},
 		{"vertex out of range", func() (*Graph, error) {
-			return NewOverlay(base, []VertexID{9}, []int64{0, 0}, nil, []float32{}, []int32{})
+			return Derive(base, []VertexID{9}, []Segment{empty})
 		}},
 		{"not strictly increasing", func() (*Graph, error) {
-			return NewOverlay(base, []VertexID{3, 1}, []int64{0, 0, 0}, nil, []float32{}, []int32{})
+			return Derive(base, []VertexID{3, 1}, []Segment{empty, empty})
 		}},
 		{"segment not sorted", func() (*Graph, error) {
-			return NewOverlay(base, []VertexID{1}, []int64{0, 2}, []VertexID{3, 2},
-				[]float32{1, 1}, []int32{0, 0})
+			return Derive(base, []VertexID{1}, []Segment{{Dst: []VertexID{3, 2}, Weight: []float32{1, 1}, Type: []int32{0, 0}}})
 		}},
 		{"dst out of range", func() (*Graph, error) {
-			return NewOverlay(base, []VertexID{1}, []int64{0, 1}, []VertexID{99},
-				[]float32{1}, []int32{0})
+			return Derive(base, []VertexID{1}, []Segment{{Dst: []VertexID{99}, Weight: []float32{1}, Type: []int32{0}}})
 		}},
-		{"stacked overlay", func() (*Graph, error) {
+		{"partition-local base", func() (*Graph, error) {
+			return Derive(Subgraph(base, 0, 2), []VertexID{1}, []Segment{empty})
+		}},
+		{"invalid segment over an overlay", func() (*Graph, error) {
 			_, over := overlayFixture(t)
-			return NewOverlay(over, []VertexID{1}, []int64{0, 0}, nil, []float32{}, []int32{})
+			return Derive(over, []VertexID{3}, []Segment{{Dst: []VertexID{7}, Weight: []float32{1}, Type: []int32{0}}})
 		}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.build(); err == nil {
-			t.Errorf("%s: NewOverlay accepted invalid input", tc.name)
+			t.Errorf("%s: Derive accepted invalid input", tc.name)
 		}
+	}
+}
+
+// TestDeriveSharesUntouchedPages: deriving from an overlay keeps one
+// level over the same base, leaves the earlier view as it was, and
+// shares every page the new segments do not land on.
+func TestDeriveSharesUntouchedPages(t *testing.T) {
+	base, over := overlayFixture(t)
+	before := Fingerprint(over)
+	next, err := Derive(over, []VertexID{3}, []Segment{{Dst: []VertexID{}, Weight: []float32{}, Type: []int32{}}})
+	if err != nil {
+		t.Fatalf("Derive: %v", err)
+	}
+	if Fingerprint(over) != before || over.Degree(3) != 1 {
+		t.Fatal("Derive changed the view it derived from")
+	}
+	if &next.offsets[0] != &base.offsets[0] || next.Degree(3) != 0 || next.Degree(1) != 3 {
+		t.Fatal("derived view does not layer the new segment over the shared base")
+	}
+	if nv, delta := next.OverlayStats(); nv != 2 || delta != 2 {
+		t.Fatalf("OverlayStats = (%d, %d), want (2, 2)", nv, delta)
+	}
+
+	const n = 4 * PageSize
+	b := NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.AddEdge(VertexID(v), VertexID((v+1)%n))
+	}
+	seg := func(d VertexID) []Segment { return []Segment{{Dst: []VertexID{d}}} }
+	g1, err := Derive(b.Build(), []VertexID{1}, seg(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := Derive(g1, []VertexID{2 * PageSize}, seg(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.over.pages[0] != g1.over.pages[0] || g2.over.pages[2] == nil || g1.over.pages[2] != nil {
+		t.Fatal("Derive did not share the untouched page and clone only the touched one")
+	}
+	if g1.Neighbors(2 * PageSize)[0] != 2*PageSize+1 || g2.Neighbors(1)[0] != 5 {
+		t.Fatal("derived views do not read their own segments")
 	}
 }
 
@@ -191,10 +256,9 @@ func TestOverlayFingerprint(t *testing.T) {
 		t.Fatal("overlay view fingerprints identically to its base")
 	}
 	// Distinct overlay contents hash distinctly.
-	g2, err := NewOverlay(base, []VertexID{1}, []int64{0, 1}, []VertexID{2},
-		[]float32{1.0}, []int32{0})
+	g2, err := Derive(base, []VertexID{1}, []Segment{{Dst: []VertexID{2}, Weight: []float32{1.0}, Type: []int32{0}}})
 	if err != nil {
-		t.Fatalf("NewOverlay: %v", err)
+		t.Fatalf("Derive: %v", err)
 	}
 	if Fingerprint(g2) == Fingerprint(over) {
 		t.Fatal("different overlays fingerprint identically")
@@ -217,10 +281,10 @@ func TestOverlaySerializationGuards(t *testing.T) {
 // TestOverlayPageTableEquivalence: the page-table lookup resolves every
 // vertex exactly as a graph rebuilt from scratch does — across page
 // boundaries, on a |V| that is not a multiple of the page size, and for
-// an empty overlay — and OverlayIndex reports the overlay slot, while
+// an empty overlay — while OverlayStats counts the overlaid vertices and
 // MaxWeight equals the rebuilt graph's exact maximum.
 func TestOverlayPageTableEquivalence(t *testing.T) {
-	const n = 2*(overlayPageMask+1) + 517 // the last page is partial
+	const n = 136*PageSize + 5 // the last page is partial
 	r := rand.New(rand.NewSource(5))
 	b := NewBuilder(n).SetDedup(true)
 	for i := 0; i < 4*n; i++ {
@@ -228,7 +292,7 @@ func TestOverlayPageTableEquivalence(t *testing.T) {
 	}
 	base := b.Build()
 
-	random := map[VertexID]bool{0: true, 4095: true, 4096: true, n - 1: true}
+	random := map[VertexID]bool{0: true, PageSize - 1: true, PageSize: true, n - 1: true}
 	for len(random) < 300 {
 		random[VertexID(r.Intn(n))] = true
 	}
@@ -243,7 +307,7 @@ func TestOverlayPageTableEquivalence(t *testing.T) {
 		verts []VertexID
 	}{
 		{"empty", []VertexID{}},
-		{"page-boundaries", []VertexID{0, 4095, 4096, n - 1}},
+		{"page-boundaries", []VertexID{0, PageSize - 1, PageSize, 3*PageSize - 1, n - 1}},
 		{"random", randomVerts},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -280,9 +344,12 @@ func TestOverlayPageTableEquivalence(t *testing.T) {
 				}
 			}
 			rebuilt := want.Build()
-			over, err := NewOverlay(base, tc.verts, offs, dst, weight, etype)
+			over, err := Derive(base, tc.verts, segmentsOf(offs, dst, weight, etype))
 			if err != nil {
-				t.Fatalf("NewOverlay: %v", err)
+				t.Fatalf("Derive: %v", err)
+			}
+			if nv, _ := over.OverlayStats(); nv != len(tc.verts) {
+				t.Fatalf("OverlayStats counts %d vertices, want %d", nv, len(tc.verts))
 			}
 			if Fingerprint(over.Compacted()) != Fingerprint(rebuilt) {
 				t.Fatal("Compacted() differs from the rebuilt-from-scratch graph")
@@ -290,13 +357,6 @@ func TestOverlayPageTableEquivalence(t *testing.T) {
 
 			for v := 0; v < n; v++ {
 				id := VertexID(v)
-				i, overlaid := slot[id]
-				if !overlaid {
-					i = -1
-				}
-				if got := over.OverlayIndex(id); got != i {
-					t.Fatalf("OverlayIndex(%d) = %d, want %d", v, got, i)
-				}
 				deg := rebuilt.Degree(id)
 				if over.Degree(id) != deg ||
 					!slices.Equal(over.Neighbors(id), rebuilt.Neighbors(id)) ||
@@ -320,7 +380,7 @@ func TestOverlayPageTableEquivalence(t *testing.T) {
 			}
 		})
 	}
-	if got := base.OverlayIndex(7); got != -1 {
-		t.Fatalf("OverlayIndex on a plain graph = %d, want -1", got)
+	if nv, delta := base.OverlayStats(); nv != 0 || delta != 0 || base.Overlaid() {
+		t.Fatal("a plain graph reports an overlay")
 	}
 }

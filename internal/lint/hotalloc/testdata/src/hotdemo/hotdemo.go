@@ -99,6 +99,9 @@ func waived() {
 	//kk:alloc-ok
 	c := make([]byte, 4) // want "waiver needs a reason"
 	_ = c
+	d := make([]byte, 4) //kk:alloc-ok a trailing waiver covers its own line only
+	e := make([]byte, 4) // want "make allocates"
+	_, _ = d, e
 }
 
 // cold is not annotated and not reachable from a root: anything goes.

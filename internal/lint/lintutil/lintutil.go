@@ -42,39 +42,62 @@ type Waiver struct {
 
 // FindWaiver looks for a marker comment attached to the statement at pos:
 // either trailing on the same source line or alone on the line directly
-// above. It returns the waiver text (may be empty — the caller should then
-// report a missing reason), the comment's position, and whether a marker
-// was found at all.
+// above. A marker trailing code on the line above waives only that line,
+// never the next one too. It returns the waiver text (may be empty — the
+// caller should then report a missing reason), the comment's position,
+// and whether a marker was found at all.
 func FindWaiver(fset *token.FileSet, file *ast.File, pos token.Pos, marker string) (reason string, cpos token.Pos, found bool) {
 	line := fset.Position(pos).Line
 	// A same-line marker always wins over one on the line above: when
 	// consecutive lines each carry their own trailing waiver, the one
 	// trailing line N-1 must not absorb line N's finding (which would
 	// leave line N's own waiver looking stale).
-	var aboveReason string
-	var abovePos token.Pos
-	var aboveFound bool
+	var above *ast.Comment
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
+			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 			if !strings.HasPrefix(text, marker) {
 				continue
 			}
-			cline := fset.Position(c.Pos()).Line
-			switch cline {
+			switch fset.Position(c.Pos()).Line {
 			case line:
 				return strings.TrimSpace(strings.TrimPrefix(text, marker)), c.Pos(), true
 			case line - 1:
-				if !aboveFound {
-					aboveReason = strings.TrimSpace(strings.TrimPrefix(text, marker))
-					abovePos = c.Pos()
-					aboveFound = true
+				if above == nil && !trailsCode(fset, file, c) {
+					above = c
 				}
 			}
 		}
 	}
-	return aboveReason, abovePos, aboveFound
+	if above == nil {
+		return "", token.NoPos, false
+	}
+	text := strings.TrimSpace(strings.TrimPrefix(above.Text, "//"))
+	return strings.TrimSpace(strings.TrimPrefix(text, marker)), above.Pos(), true
+}
+
+// trailsCode reports whether some syntax node starts or ends on c's line
+// before c, i.e. whether c trails code rather than standing alone.
+func trailsCode(fset *token.FileSet, file *ast.File, c *ast.Comment) bool {
+	line := fset.Position(c.Pos()).Line
+	lineStart := fset.File(c.Pos()).LineStart(line)
+	before := func(p token.Pos) bool {
+		return p.IsValid() && p >= lineStart && p < c.Pos()
+	}
+	trails := false
+	ast.Inspect(file, func(n ast.Node) bool {
+		if trails || n == nil || n.End() <= lineStart || n.Pos() >= c.Pos() {
+			return false
+		}
+		if _, ok := n.(*ast.CommentGroup); ok {
+			return false
+		}
+		if before(n.Pos()) || before(n.End()-1) {
+			trails = true
+		}
+		return !trails
+	})
+	return trails
 }
 
 // MarkerComments returns the position of every waiver-marker comment in
