@@ -33,6 +33,7 @@ fuzz:
 	go test -run=Fuzz -fuzz='^FuzzReadEdgeList$$' -fuzztime=15s ./internal/graph/
 	go test -run=Fuzz -fuzz='^FuzzReadBinary$$' -fuzztime=15s ./internal/graph/
 	go test -run=Fuzz -fuzz='^FuzzEdgeListRoundTrip$$' -fuzztime=15s ./internal/graph/
+	go test -run=Fuzz -fuzz='^FuzzBuild$$' -fuzztime=15s ./internal/graph/
 	go test -run=Fuzz -fuzz='^FuzzDecodeWalker$$' -fuzztime=15s ./internal/core/
 	go test -run=Fuzz -fuzz='^FuzzReadFrame$$' -fuzztime=15s ./internal/transport/
 	go test -run=Fuzz -fuzz='^FuzzReadManifest$$' -fuzztime=15s ./internal/checkpoint/

@@ -23,6 +23,9 @@ import (
 //	PostQuery             -> postStateQuery / postNeighbourQuery
 //	Outliers/LocateOutlier-> outlier declaration APIs
 //	MaxSteps/TerminationProb -> the Pe component
+//
+// The engine calls every hook from several goroutines at once, at set-up
+// as during the walk, so hooks must be safe for concurrent use.
 type Algorithm struct {
 	// Name labels the algorithm in logs and results.
 	Name string

@@ -163,3 +163,34 @@ func benchStatic2Ranks(b *testing.B, g *graph.Graph, a *core.Algorithm) {
 	}
 	b.ReportMetric(float64(walk.Nanoseconds())/float64(steps), "ns/step")
 }
+
+// BenchmarkEngineSetup times the engine's set-up alone, the alias rows of
+// biased DeepWalk over the 50k-vertex weighted power-law graph of
+// BenchmarkEngineDeepWalkBiased2Ranks, at 1 and 2 in-process ranks × 1
+// and 2 workers. It reports Result.SetupDuration per stored edge; the one
+// walker of one step keeps the walk out of the way.
+func BenchmarkEngineSetup(b *testing.B) {
+	g := gen.WithPowerLawWeights(gen.TruncatedPowerLaw(50000, 4, 2000, 2.0, 1), 16, 2.0, 1)
+	for _, ranks := range []int{1, 2} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("ranks=%d/workers=%d", ranks, workers), func(b *testing.B) {
+				var setup time.Duration
+				for i := 0; i < b.N; i++ {
+					res, err := core.Run(core.Config{
+						Graph:      g,
+						Algorithm:  alg.DeepWalk(1, true),
+						NumNodes:   ranks,
+						Workers:    workers,
+						NumWalkers: 1,
+						Seed:       uint64(i + 1),
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					setup += res.SetupDuration
+				}
+				b.ReportMetric(float64(setup.Nanoseconds())/float64(int64(b.N)*g.NumEdges()), "ns/edge")
+			})
+		}
+	}
+}

@@ -74,7 +74,8 @@ type Config struct {
 	// NumWalkers is the walker count (default |V|).
 	NumWalkers int
 	// StartVertex places walker id (default: id mod |V|, the paper's
-	// default strategy). Mutually exclusive with StartWeights.
+	// default strategy). The in-process ranks set up at once and may call
+	// it concurrently. Mutually exclusive with StartWeights.
 	StartVertex func(id int64) graph.VertexID
 	// StartWeights, when set (length |V|), draws each walker's start
 	// vertex from this unnormalized distribution — the paper's "give ...
@@ -179,7 +180,8 @@ type Config struct {
 type SamplerProvider interface {
 	// AliasRow returns v's edge-weight alias row (sampling.BuildAliasRow
 	// over Weights(v) and Neighbors(v)), or nil when the provider has none
-	// (the engine then builds locally).
+	// (the engine then builds locally). The in-process ranks set up at
+	// once, so it must be safe for concurrent calls.
 	AliasRow(v graph.VertexID) []sampling.AliasEntry
 }
 
@@ -353,13 +355,18 @@ func setUp(cfg *Config, eps []transport.Endpoint, size int) ([]*node, *Result, *
 		}
 		counters.RestoreNanos.Add(time.Since(restoreStart).Nanoseconds()) //kk:nondet-ok telemetry-only timing; never feeds walk state
 	}
+	// The ranks of this process set up at once, each on its own
+	// goroutine and each building its samplers on its workers: the same
+	// ranks x workers goroutines the walk runs on.
 	nodes := make([]*node, len(eps))
-	for i, ep := range eps {
-		n, err := newNode(ranks[i], cfg, part, ep, counters, res, i == 0)
+	errs := make([]error, len(eps))
+	parallel(len(eps), func(i int) {
+		nodes[i], errs[i] = newNode(ranks[i], cfg, part, eps[i], counters, res, i == 0)
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		nodes[i] = n
 	}
 	res.SetupDuration = time.Since(setupStart) //kk:nondet-ok telemetry-only timing; never feeds walk state
 	return nodes, res, counters, nil
@@ -586,9 +593,13 @@ func newNode(rank int, cfg *Config, part *cluster.Partition, ep transport.Endpoi
 }
 
 // buildSamplers precomputes the per-vertex sampling structures and
-// rejection dartboards, the paper's initialization step. It allocates per
-// node, never per vertex: one row slab, one scratch, and the dartboard
-// slabs.
+// rejection dartboards, the paper's initialization step. It splits the
+// owned range into one run of vertices per worker, of about equal set-up
+// work, and builds them on as many goroutines as the walk uses. Rows sit
+// in one node-level slab in vertex order, so a run's slab offset is the
+// prefix sum of the rows built before it. It allocates per node and per
+// worker, never per vertex: the row slab, the dartboard slabs and one
+// scratch per worker.
 func (n *node) buildSamplers() {
 	count := int(n.hi - n.lo)
 	dynamic, uniform := n.alg.dynamic(), n.alg.uniformStatic()
@@ -596,34 +607,92 @@ func (n *node) buildSamplers() {
 		n.rejections = make([]*sampling.Rejection, count)
 		n.boards = make([]sampling.Rejection, count)
 	}
-	var slab []sampling.AliasEntry
-	var computed []float32 // EdgeStaticComp weights, parallel to slab
 	if !uniform {
 		n.rows = make([][]sampling.AliasEntry, count)
 		if dynamic {
 			n.aliases = make([]sampling.Alias, count)
 		}
-		need := 0
-		for i := range n.rows {
-			v := n.lo + graph.VertexID(i)
-			// A provided row replaces local construction only when it
-			// samples what the build loop's would: edge-weight statics.
-			if n.cfg.Samplers != nil && n.alg.EdgeStaticComp == nil {
-				n.rows[i] = n.cfg.Samplers.AliasRow(v)
-			}
-			if deg := n.g.Degree(v); n.rows[i] == nil {
-				need += deg
-			} else if len(n.rows[i]) != deg {
-				panic(fmt.Sprintf("core: provided alias row of vertex %d covers %d edges, degree is %d (stale epoch?)", v, len(n.rows[i]), deg))
+		// A provided row replaces local construction only when it samples
+		// what the build's would: edge-weight statics.
+		if n.cfg.Samplers != nil && n.alg.EdgeStaticComp == nil {
+			for i := range n.rows {
+				v := n.lo + graph.VertexID(i)
+				row := n.cfg.Samplers.AliasRow(v)
+				if deg := n.g.Degree(v); row != nil && len(row) != deg {
+					panic(fmt.Sprintf("core: provided alias row of vertex %d covers %d edges, degree is %d (stale epoch?)", v, len(row), deg))
+				}
+				n.rows[i] = row
 			}
 		}
+	}
+	// work reports vertex i's slab entries (its degree when its row is
+	// built here) and its set-up work in edges (row and dartboard).
+	work := func(i int) (slab, edges int) {
+		deg := n.g.Degree(n.lo + graph.VertexID(i))
+		if !uniform && n.rows[i] == nil {
+			slab = deg
+		}
+		if slab > 0 || dynamic {
+			edges = deg
+		}
+		return slab, edges
+	}
+	need, total := 0, 0
+	for i := 0; i < count; i++ {
+		s, e := work(i)
+		need, total = need+s, total+e
+	}
+	if total == 0 {
+		return
+	}
+	var slab []sampling.AliasEntry
+	var computed []float32 // EdgeStaticComp weights, parallel to slab
+	if need > 0 {
 		slab = make([]sampling.AliasEntry, need)
 		if n.alg.EdgeStaticComp != nil {
 			computed = make([]float32, need)
 		}
 	}
+	// Cut [0, count) where the running work crosses k/workers of the
+	// total; runs[k] is worker k's first vertex and its slab offset.
+	workers := n.cfg.Workers
+	type run struct{ lo, slab int }
+	runs := make([]run, workers+1)
+	i, done, at := 0, 0, 0
+	for k := 1; k < workers; k++ {
+		for i < count && done < total*k/workers {
+			s, e := work(i)
+			done, at, i = done+e, at+s, i+1
+		}
+		runs[k] = run{i, at}
+	}
+	runs[workers] = run{count, need}
+	parallel(workers, func(k int) {
+		lo, hi := runs[k], runs[k+1]
+		var comp []float32
+		if computed != nil {
+			comp = computed[lo.slab:hi.slab]
+		}
+		n.buildRange(lo.lo, hi.lo, slab[lo.slab:hi.slab], comp)
+	})
+}
+
+// buildRange builds the alias rows and dartboards of owned vertices
+// [lo, hi) (indices from n.lo), carving the rows it builds out of slab in
+// vertex order and, under EdgeStaticComp, their weights out of computed.
+func (n *node) buildRange(lo, hi int, slab []sampling.AliasEntry, computed []float32) {
+	dynamic, uniform := n.alg.dynamic(), n.alg.uniformStatic()
 	var scratch sampling.AliasScratch
-	for i := 0; i < count; i++ {
+	if !uniform {
+		most := 0
+		for i := lo; i < hi; i++ {
+			if n.rows[i] == nil {
+				most = max(most, n.g.Degree(n.lo+graph.VertexID(i)))
+			}
+		}
+		scratch.Grow(most)
+	}
+	for i := lo; i < hi; i++ {
 		v := n.lo + graph.VertexID(i)
 		deg := n.g.Degree(v)
 		if deg == 0 {
@@ -665,6 +734,34 @@ func (n *node) buildSamplers() {
 		}
 		n.boards[i].Reset(s, q, l, apps)
 		n.rejections[i] = &n.boards[i]
+	}
+}
+
+// parallel runs f(0), ..., f(k-1) at once, f(0) on the calling goroutine,
+// and returns when all have. A panic on any of them is raised again on
+// the caller once every one has finished (the lowest index's, if several
+// panic), so a set-up panic reaches the caller's recover from whichever
+// goroutine it happened on.
+func parallel(k int, f func(i int)) {
+	panics := make([]any, k)
+	var wg sync.WaitGroup
+	for i := 1; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			f(i)
+		}(i)
+	}
+	func() {
+		defer func() { panics[0] = recover() }()
+		f(0)
+	}()
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ func Hotspot(n, d, numHot, hotDegree int, seed uint64) *graph.Graph {
 		degrees[i] = d
 	}
 	base := configurationModelEdges(degrees[:n], seed)
-	b := graph.NewBuilder(total).SetUndirected(true).SetDedup(true)
+	b := graph.NewBuilder(total).SetUndirected(true).SetDedup(true).Grow(len(base) + numHot*hotDegree)
 	for _, e := range base {
 		b.AddEdge(e[0], e[1])
 	}
@@ -193,7 +193,7 @@ func Star(n int) *graph.Graph {
 // resulting undirected simple-ish multigraph (self-pairings dropped).
 func configurationModel(degrees []int, seed uint64) *graph.Graph {
 	edges := configurationModelEdges(degrees, seed)
-	b := graph.NewBuilder(len(degrees)).SetUndirected(true).SetDedup(true)
+	b := graph.NewBuilder(len(degrees)).SetUndirected(true).SetDedup(true).Grow(len(edges))
 	for _, e := range edges {
 		b.AddEdge(e[0], e[1])
 	}
@@ -211,8 +211,13 @@ func configurationModelEdges(degrees []int, seed uint64) [][2]graph.VertexID {
 			stubs = append(stubs, graph.VertexID(v))
 		}
 	}
+	// The Fisher-Yates shuffle of rng.Shuffle, draw for draw, without its
+	// per-swap call.
 	r := rng.New(seed)
-	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+	for i := len(stubs) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		stubs[i], stubs[j] = stubs[j], stubs[i]
+	}
 	edges := make([][2]graph.VertexID, 0, len(stubs)/2)
 	for i := 0; i+1 < len(stubs); i += 2 {
 		u, v := stubs[i], stubs[i+1]
@@ -224,27 +229,28 @@ func configurationModelEdges(degrees []int, seed uint64) [][2]graph.VertexID {
 	return edges
 }
 
-// WithUniformWeights returns a copy of g where every undirected edge gets a
-// weight drawn uniformly from [lo, hi). Weights are symmetric: the two
-// stored directions of an undirected edge receive the same weight (derived
-// from a hash of the unordered endpoint pair), matching the paper's
-// "assigning edge weight as a real number randomly sampled from [1, 5)".
+// WithUniformWeights returns g's adjacency, shared rather than copied,
+// with every undirected edge given a weight drawn uniformly from [lo, hi).
+// Weights are symmetric: the two stored directions of an undirected edge
+// receive the same weight (derived from a hash of the unordered endpoint
+// pair), matching the paper's "assigning edge weight as a real number
+// randomly sampled from [1, 5)".
 func WithUniformWeights(g *graph.Graph, lo, hi float32, seed uint64) *graph.Graph {
 	return reweight(g, func(u, v graph.VertexID) float32 {
 		return lo + (hi-lo)*pairUnitFloat(u, v, seed)
 	})
 }
 
-// WithPowerLawWeights returns a copy of g with symmetric edge weights
+// WithPowerLawWeights returns g's adjacency with symmetric edge weights
 // following a power-law distribution on [1, wMax]: most edges light, a few
 // heavy. Figure 8 sweeps wMax under both uniform and power-law assignment.
 func WithPowerLawWeights(g *graph.Graph, wMax float32, alpha float64, seed uint64) *graph.Graph {
+	// Inverse-transform of p(w) ~ w^-alpha on [1, wMax].
+	a := 1 - alpha
+	loP, hiP, inv := 1.0, math.Pow(float64(wMax), a), 1/a
 	return reweight(g, func(u, v graph.VertexID) float32 {
 		x := pairUnitFloat(u, v, seed)
-		// Inverse-transform of p(w) ~ w^-alpha on [1, wMax].
-		a := 1 - alpha
-		loP, hiP := 1.0, math.Pow(float64(wMax), a)
-		w := math.Pow(loP+(hiP-loP)*float64(x), 1/a)
+		w := math.Pow(loP+(hiP-loP)*float64(x), inv)
 		if w < 1 {
 			w = 1
 		}
@@ -255,38 +261,23 @@ func WithPowerLawWeights(g *graph.Graph, wMax float32, alpha float64, seed uint6
 	})
 }
 
-// WithTypes returns a copy of g where every undirected edge is assigned a
-// symmetric type in [0, numTypes), for meta-path workloads.
+// WithTypes returns g's adjacency and weights with every undirected edge
+// assigned a symmetric type in [0, numTypes), for meta-path workloads.
 func WithTypes(g *graph.Graph, numTypes int, seed uint64) *graph.Graph {
 	if numTypes <= 0 {
 		panic("gen: WithTypes requires numTypes > 0")
 	}
-	n := g.NumVertices()
-	b := graph.NewBuilder(n)
-	for v := 0; v < n; v++ {
-		src := graph.VertexID(v)
-		deg := g.Degree(src)
-		for i := 0; i < deg; i++ {
-			e := g.EdgeAt(src, i)
-			typ := int32(pairHash(src, e.Dst, seed) % uint64(numTypes))
-			b.AddTypedEdge(src, e.Dst, e.Weight, typ)
-		}
-	}
-	return b.Build()
+	return g.Relabel(true, func(src graph.VertexID, e graph.Edge) (float32, int32) {
+		return e.Weight, int32(pairHash(src, e.Dst, seed) % uint64(numTypes))
+	})
 }
 
+// reweight gives every edge u->v of g the weight weightOf(u, v) and drops
+// its types, over g's own offsets and destinations.
 func reweight(g *graph.Graph, weightOf func(u, v graph.VertexID) float32) *graph.Graph {
-	n := g.NumVertices()
-	b := graph.NewBuilder(n)
-	for v := 0; v < n; v++ {
-		src := graph.VertexID(v)
-		deg := g.Degree(src)
-		for i := 0; i < deg; i++ {
-			e := g.EdgeAt(src, i)
-			b.AddWeightedEdge(src, e.Dst, weightOf(src, e.Dst))
-		}
-	}
-	return b.Build()
+	return g.Relabel(false, func(src graph.VertexID, e graph.Edge) (float32, int32) {
+		return weightOf(src, e.Dst), 0
+	})
 }
 
 // pairHash hashes the unordered pair {u, v} with the seed, so both stored

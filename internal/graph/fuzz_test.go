@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -105,6 +106,77 @@ func FuzzEdgeListRoundTrip(f *testing.F) {
 		if g.NumVertices() != g2.NumVertices() || g.NumEdges() != g2.NumEdges() {
 			t.Fatalf("round trip changed shape: (%d,%d) vs (%d,%d)",
 				g.NumVertices(), g.NumEdges(), g2.NumVertices(), g2.NumEdges())
+		}
+	})
+}
+
+// FuzzBuild checks Builder.Build against a reference: the edges in
+// insertion order (both directions of an undirected edge, as AddEdge
+// records them), stable-sorted by (source, destination), with all but the
+// first of each (source, destination) group dropped under dedup. Every
+// three input bytes are one edge: source, destination, and a byte whose
+// low two bits pick AddEdge, AddWeightedEdge or AddTypedEdge and whose
+// rest is the weight and type.
+func FuzzBuild(f *testing.F) {
+	f.Add(uint8(4), []byte{0, 1, 1, 0, 1, 5, 0, 1, 9, 2, 3, 0, 3, 2, 2}, false, false)
+	f.Add(uint8(3), []byte{0, 1, 1, 0, 1, 5, 0, 1, 9, 1, 1, 2}, true, true)
+	f.Add(uint8(16), bytes.Repeat([]byte{0, 3, 6, 0, 2, 7, 0, 3, 2}, 8), false, true)
+	f.Fuzz(func(t *testing.T, nv uint8, data []byte, undirected, dedup bool) {
+		n := 1 + int(nv%64)
+		b := NewBuilder(n).SetUndirected(undirected).SetDedup(dedup)
+		type rec struct {
+			src VertexID
+			e   Edge
+		}
+		var ref []rec
+		weighted, typed := false, false
+		for i := 0; i+2 < len(data); i += 3 {
+			s, d, x := VertexID(int(data[i])%n), VertexID(int(data[i+1])%n), data[i+2]
+			e := Edge{Dst: d, Weight: 1}
+			switch x & 3 {
+			case 1:
+				e.Weight = float32(x >> 2)
+				b.AddWeightedEdge(s, d, e.Weight)
+				weighted = true
+			case 2:
+				e.Weight, e.Type = float32(x>>2), int32(x>>4)
+				b.AddTypedEdge(s, d, e.Weight, e.Type)
+				weighted, typed = true, true
+			default:
+				b.AddEdge(s, d)
+			}
+			ref = append(ref, rec{s, e})
+			if undirected && s != d {
+				ref = append(ref, rec{d, Edge{Dst: s, Weight: e.Weight, Type: e.Type}})
+			}
+		}
+		slices.SortStableFunc(ref, func(a, b rec) int {
+			if a.src != b.src {
+				return int(a.src) - int(b.src)
+			}
+			return int(a.e.Dst) - int(b.e.Dst)
+		})
+		if dedup {
+			ref = slices.CompactFunc(ref, func(a, b rec) bool { return a.src == b.src && a.e.Dst == b.e.Dst })
+		}
+
+		g := b.Build()
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if g.NumVertices() != n || g.NumEdges() != int64(len(ref)) || g.Weighted() != weighted || g.Typed() != typed {
+			t.Fatalf("built |V|=%d |E|=%d weighted=%v typed=%v, want %d %d %v %v",
+				g.NumVertices(), g.NumEdges(), g.Weighted(), g.Typed(), n, len(ref), weighted, typed)
+		}
+		k := 0
+		for v := 0; v < n; v++ {
+			for i := 0; i < g.Degree(VertexID(v)); i++ {
+				got, want := g.EdgeAt(VertexID(v), i), ref[k]
+				if want.src != VertexID(v) || got != want.e {
+					t.Fatalf("edge %d: %d->%+v, want %d->%+v", k, v, got, want.src, want.e)
+				}
+				k++
+			}
 		}
 	})
 }

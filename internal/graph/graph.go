@@ -9,7 +9,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // VertexID identifies a vertex. Graphs in the paper's evaluation reach 134M
@@ -308,8 +307,9 @@ func (g *Graph) Validate() error {
 // safe for concurrent use.
 type Builder struct {
 	numVertices int
-	srcs        []VertexID
-	edges       []Edge
+	srcs, dsts  []VertexID
+	weights     []float32 // parallel to srcs once weighted is set
+	types       []int32   // parallel to srcs once typed is set
 	weighted    bool
 	typed       bool
 	undirected  bool
@@ -342,43 +342,126 @@ func (b *Builder) SetDedup(d bool) *Builder {
 
 // AddEdge records the edge src->dst with weight 1 and type 0.
 func (b *Builder) AddEdge(src, dst VertexID) {
-	b.add(src, Edge{Dst: dst, Weight: 1})
+	b.add(src, dst, 1, 0)
 }
 
 // AddWeightedEdge records src->dst with the given weight.
 func (b *Builder) AddWeightedEdge(src, dst VertexID, w float32) {
-	b.weighted = true
-	b.add(src, Edge{Dst: dst, Weight: w})
+	b.setWeighted()
+	b.add(src, dst, w, 0)
 }
 
 // AddTypedEdge records src->dst with the given weight and edge type.
 func (b *Builder) AddTypedEdge(src, dst VertexID, w float32, typ int32) {
-	b.weighted = true
-	b.typed = true
-	b.add(src, Edge{Dst: dst, Weight: w, Type: typ})
+	b.setWeighted()
+	if !b.typed {
+		b.typed = true
+		b.types = slices.Grow(b.types[:0], cap(b.srcs))[:len(b.srcs)]
+		clear(b.types)
+	}
+	b.add(src, dst, w, typ)
 }
 
-func (b *Builder) add(src VertexID, e Edge) {
-	if int(src) >= b.numVertices || int(e.Dst) >= b.numVertices {
-		panic(fmt.Sprintf("graph: edge %d->%d out of range (|V|=%d)", src, e.Dst, b.numVertices))
+// setWeighted starts the weight column, giving the edges recorded so far
+// weight 1.
+func (b *Builder) setWeighted() {
+	if b.weighted {
+		return
 	}
+	b.weighted = true
+	b.weights = slices.Grow(b.weights[:0], cap(b.srcs))[:len(b.srcs)]
+	for i := range b.weights {
+		b.weights[i] = 1
+	}
+}
+
+func (b *Builder) add(src, dst VertexID, w float32, typ int32) {
+	if int(src) >= b.numVertices || int(dst) >= b.numVertices {
+		panic(fmt.Sprintf("graph: edge %d->%d out of range (|V|=%d)", src, dst, b.numVertices))
+	}
+	b.push(src, dst, w, typ)
+	if b.undirected && src != dst {
+		b.push(dst, src, w, typ)
+	}
+}
+
+func (b *Builder) push(src, dst VertexID, w float32, typ int32) {
 	b.srcs = append(b.srcs, src)
-	b.edges = append(b.edges, e)
-	if b.undirected && src != e.Dst {
-		b.srcs = append(b.srcs, e.Dst)
-		rev := e
-		rev.Dst = src
-		b.edges = append(b.edges, rev)
+	b.dsts = append(b.dsts, dst)
+	if b.weighted {
+		b.weights = append(b.weights, w)
+	}
+	if b.typed {
+		b.types = append(b.types, typ)
 	}
 }
 
 // NumEdgesAdded returns the number of directed edges recorded so far.
 func (b *Builder) NumEdgesAdded() int { return len(b.srcs) }
 
+// Grow makes room for n more AddEdge calls (2n stored edges when the
+// builder is undirected), so a caller that knows its edge count up front
+// appends without reallocating.
+func (b *Builder) Grow(n int) *Builder {
+	if b.undirected {
+		n *= 2
+	}
+	b.srcs = slices.Grow(b.srcs, n)
+	b.dsts = slices.Grow(b.dsts, n)
+	if b.weighted {
+		b.weights = slices.Grow(b.weights, n)
+	}
+	if b.typed {
+		b.types = slices.Grow(b.types, n)
+	}
+	return b
+}
+
 // Build produces the CSR graph. The builder can be reused afterwards but
 // retains its edges; call Reset to clear.
+//
+// It orders the edges with two stable counting passes in time linear in
+// vertices plus edges. The first scatters each edge's source (and weight
+// and type) into buckets by destination; the second walks the buckets in
+// destination order and scatters each edge into its source's adjacency.
+// So every adjacency comes out sorted by destination, with equal
+// destinations in insertion order. With dedup set, the second pass drops
+// an edge whose destination equals the one placed just before it at the
+// same source, which keeps the first inserted of each parallel group.
 func (b *Builder) Build() *Graph {
-	n := b.numVertices
+	n, m := b.numVertices, len(b.srcs)
+
+	// Pass 1: bucket by destination.
+	pos := make([]int, n+1)
+	for _, d := range b.dsts {
+		pos[d+1]++
+	}
+	for i := 1; i <= n; i++ {
+		pos[i] += pos[i-1]
+	}
+	srcOf := make([]VertexID, m)
+	var wOf []float32
+	var tOf []int32
+	if b.weighted {
+		wOf = make([]float32, m)
+	}
+	if b.typed {
+		tOf = make([]int32, m)
+	}
+	for i, d := range b.dsts {
+		p := pos[d]
+		pos[d] = p + 1
+		srcOf[p] = b.srcs[i]
+		if wOf != nil {
+			wOf[p] = b.weights[i]
+		}
+		if tOf != nil {
+			tOf[p] = b.types[i]
+		}
+	}
+	// pos[d] is now the end of bucket d, so bucket d is [pos[d-1], pos[d]).
+
+	// Pass 2: scatter into each source's adjacency, destinations ascending.
 	offsets := make([]int64, n+1)
 	for _, s := range b.srcs {
 		offsets[s+1]++
@@ -386,7 +469,6 @@ func (b *Builder) Build() *Graph {
 	for i := 1; i <= n; i++ {
 		offsets[i] += offsets[i-1]
 	}
-	m := len(b.srcs)
 	dst := make([]VertexID, m)
 	var weight []float32
 	var etype []int32
@@ -398,55 +480,49 @@ func (b *Builder) Build() *Graph {
 	}
 	cursor := make([]int64, n)
 	copy(cursor, offsets[:n])
-	for i, s := range b.srcs {
-		p := cursor[s]
-		cursor[s]++
-		dst[p] = b.edges[i].Dst
-		if weight != nil {
-			weight[p] = b.edges[i].Weight
-		}
-		if etype != nil {
-			etype[p] = b.edges[i].Type
-		}
-	}
-	g := &Graph{offsets: offsets, dst: dst, weight: weight, etype: etype}
-	g.sortAdjacency()
-	if b.dedup {
-		g = g.dedupAdjacency()
-	}
-	return g
-}
-
-// dedupAdjacency rebuilds the CSR arrays keeping only the first of each run
-// of equal destinations within a vertex's (sorted) adjacency.
-func (g *Graph) dedupAdjacency() *Graph {
-	n := g.NumVertices()
-	offsets := make([]int64, n+1)
-	dst := make([]VertexID, 0, len(g.dst))
-	var weight []float32
-	var etype []int32
-	if g.weight != nil {
-		weight = make([]float32, 0, len(g.weight))
-	}
-	if g.etype != nil {
-		etype = make([]int32, 0, len(g.etype))
-	}
-	for v := 0; v < n; v++ {
-		adj := g.Neighbors(VertexID(v))
-		base := g.offsets[v]
-		for i, d := range adj {
-			if i > 0 && adj[i-1] == d {
+	k := 0
+	for d := 0; d < n; d++ {
+		v := VertexID(d)
+		for ; k < pos[d]; k++ {
+			s := srcOf[k]
+			p := cursor[s]
+			if b.dedup && p > offsets[s] && dst[p-1] == v {
 				continue
 			}
-			dst = append(dst, d)
+			cursor[s] = p + 1
+			dst[p] = v
 			if weight != nil {
-				weight = append(weight, g.weight[base+int64(i)])
+				weight[p] = wOf[k]
 			}
 			if etype != nil {
-				etype = append(etype, g.etype[base+int64(i)])
+				etype[p] = tOf[k]
 			}
 		}
-		offsets[v+1] = int64(len(dst))
+	}
+	if b.dedup {
+		// Close the gaps the dropped duplicates left, vertex by vertex;
+		// every write lands at or before the read it copies.
+		w := int64(0)
+		for v := 0; v < n; v++ {
+			lo, hi := offsets[v], cursor[v]
+			offsets[v] = w
+			copy(dst[w:], dst[lo:hi])
+			if weight != nil {
+				copy(weight[w:], weight[lo:hi])
+			}
+			if etype != nil {
+				copy(etype[w:], etype[lo:hi])
+			}
+			w += hi - lo
+		}
+		offsets[n] = w
+		dst = dst[:w]
+		if weight != nil {
+			weight = weight[:w]
+		}
+		if etype != nil {
+			etype = etype[:w]
+		}
 	}
 	return &Graph{offsets: offsets, dst: dst, weight: weight, etype: etype}
 }
@@ -454,40 +530,43 @@ func (g *Graph) dedupAdjacency() *Graph {
 // Reset clears accumulated edges, keeping the vertex count.
 func (b *Builder) Reset() {
 	b.srcs = b.srcs[:0]
-	b.edges = b.edges[:0]
+	b.dsts = b.dsts[:0]
+	b.weights = b.weights[:0]
+	b.types = b.types[:0]
 	b.weighted = false
 	b.typed = false
 }
 
-// sortAdjacency sorts each vertex's out-edges by destination, permuting
-// weights and types alongside.
-func (g *Graph) sortAdjacency() {
-	n := g.NumVertices()
-	for v := 0; v < n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		seg := adjSegment{g: g, lo: lo, n: int(hi - lo)}
-		sort.Sort(seg)
+// Relabel returns a graph with g's offsets and destinations, shared rather
+// than copied (both are immutable), and new edge weights and types: f
+// gives them for every out-edge e of src, seen as g stores it (weight 1
+// and type 0 where g has none). The result stores weights, and types when
+// typed is set: the arrays a Builder fed the edges in adjacency order
+// would produce, without its second trip through them. g must be a whole
+// graph, not a partition slice or an epoch view.
+func (g *Graph) Relabel(typed bool, f func(src VertexID, e Edge) (weight float32, typ int32)) *Graph {
+	if g.partial || g.over != nil {
+		panic("graph: Relabel needs a whole graph, not a partition slice or an epoch view")
 	}
-}
-
-type adjSegment struct {
-	g  *Graph
-	lo int64
-	n  int
-}
-
-func (s adjSegment) Len() int { return s.n }
-func (s adjSegment) Less(i, j int) bool {
-	return s.g.dst[s.lo+int64(i)] < s.g.dst[s.lo+int64(j)]
-}
-func (s adjSegment) Swap(i, j int) {
-	a, b := s.lo+int64(i), s.lo+int64(j)
-	g := s.g
-	g.dst[a], g.dst[b] = g.dst[b], g.dst[a]
-	if g.weight != nil {
-		g.weight[a], g.weight[b] = g.weight[b], g.weight[a]
+	out := &Graph{offsets: g.offsets, dst: g.dst, weight: make([]float32, len(g.dst))}
+	if typed {
+		out.etype = make([]int32, len(g.dst))
 	}
-	if g.etype != nil {
-		g.etype[a], g.etype[b] = g.etype[b], g.etype[a]
+	for v := 0; v < g.NumVertices(); v++ {
+		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
+			e := Edge{Dst: g.dst[i], Weight: 1}
+			if g.weight != nil {
+				e.Weight = g.weight[i]
+			}
+			if g.etype != nil {
+				e.Type = g.etype[i]
+			}
+			w, t := f(VertexID(v), e)
+			out.weight[i] = w
+			if out.etype != nil {
+				out.etype[i] = t
+			}
+		}
 	}
+	return out
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -211,6 +212,115 @@ func TestParallelEdgesKept(t *testing.T) {
 	g := b.Build()
 	if g.Degree(0) != 2 {
 		t.Fatalf("parallel edges collapsed: degree = %d", g.Degree(0))
+	}
+
+	// Weighted parallel edges keep their insertion order, also at a vertex
+	// of degree well above 12 (where a per-vertex sort.Sort stops being an
+	// insertion sort) and when the group is inserted interleaved with the
+	// vertex's other edges.
+	r := rng.New(3)
+	for trial := 0; trial < 20; trial++ {
+		const n, par = 64, 6
+		b := NewBuilder(n)
+		var want []float32
+		for i, d := range r.Perm(n) {
+			b.AddWeightedEdge(0, VertexID(d), float32(1000+i))
+			if i%8 == 0 && len(want) < par {
+				w := float32(len(want) + 1)
+				want = append(want, w)
+				b.AddWeightedEdge(0, 7, w)
+			}
+		}
+		g := b.Build()
+		adj, ws := g.Neighbors(0), g.Weights(0)
+		lo, _ := slices.BinarySearch(adj, 7)
+		var got []float32
+		for i := lo; i < len(adj) && adj[i] == 7; i++ {
+			got = append(got, ws[i])
+		}
+		// The permutation's own 0->7 edge sits at its insertion place.
+		got = slices.DeleteFunc(got, func(w float32) bool { return w >= 1000 })
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: parallel 0->7 weights %v, want insertion order %v", trial, got, want)
+		}
+	}
+}
+
+// TestDedupKeepsFirstOccurrence: with dedup, the edge kept of each
+// parallel group is the first inserted one, weight and type included, at
+// vertices of every degree.
+func TestDedupKeepsFirstOccurrence(t *testing.T) {
+	r := rng.New(7)
+	for trial := 0; trial < 50; trial++ {
+		n := 3 + r.Intn(100)
+		b := NewBuilder(n).SetDedup(true)
+		first := make(map[[2]VertexID]Edge)
+		for i := 0; i < 4*n; i++ {
+			s, d := VertexID(r.Intn(3)), VertexID(r.Intn(n))
+			e := Edge{Dst: d, Weight: float32(i + 1), Type: int32(i)}
+			b.AddTypedEdge(s, d, e.Weight, e.Type)
+			if _, ok := first[[2]VertexID{s, d}]; !ok {
+				first[[2]VertexID{s, d}] = e
+			}
+		}
+		g := b.Build()
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		kept := 0
+		for s := VertexID(0); s < 3; s++ {
+			for i := 0; i < g.Degree(s); i++ {
+				e := g.EdgeAt(s, i)
+				if want := first[[2]VertexID{s, e.Dst}]; e != want {
+					t.Fatalf("trial %d: kept %d->%d as %+v, want the first inserted %+v", trial, s, e.Dst, e, want)
+				}
+				kept++
+			}
+		}
+		if kept != len(first) {
+			t.Fatalf("trial %d: kept %d edges, want %d distinct pairs", trial, kept, len(first))
+		}
+	}
+}
+
+// TestRelabel: Relabel gives every stored edge the weight and type f
+// returns, in adjacency order, over the original offsets and
+// destinations, as rebuilding the edges through a Builder would.
+func TestRelabel(t *testing.T) {
+	b := NewBuilder(5)
+	for _, e := range [][3]int{{0, 3, 2}, {0, 1, 5}, {0, 3, 7}, {2, 4, 1}, {4, 0, 3}, {4, 4, 9}} {
+		b.AddTypedEdge(VertexID(e[0]), VertexID(e[1]), float32(e[2]), int32(e[2]%3))
+	}
+	g := b.Build()
+	f := func(src VertexID, e Edge) (float32, int32) {
+		return e.Weight*10 + float32(src), e.Type + int32(e.Dst)
+	}
+	for _, typed := range []bool{false, true} {
+		want := NewBuilder(5)
+		for v := VertexID(0); v < 5; v++ {
+			for i := 0; i < g.Degree(v); i++ {
+				w, typ := f(v, g.EdgeAt(v, i))
+				if typed {
+					want.AddTypedEdge(v, g.EdgeAt(v, i).Dst, w, typ)
+				} else {
+					want.AddWeightedEdge(v, g.EdgeAt(v, i).Dst, w)
+				}
+			}
+		}
+		got := g.Relabel(typed, f)
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if Fingerprint(got) != Fingerprint(want.Build()) || got.Typed() != typed {
+			t.Fatalf("typed=%v: Relabel differs from rebuilding the relabelled edges", typed)
+		}
+	}
+	// Unweighted, untyped input: f sees weight 1 and type 0.
+	u := NewBuilder(2)
+	u.AddEdge(0, 1)
+	got := u.Build().Relabel(false, func(_ VertexID, e Edge) (float32, int32) { return e.Weight + 1, e.Type })
+	if e := got.EdgeAt(0, 0); e != (Edge{Dst: 1, Weight: 2}) {
+		t.Fatalf("relabelled unweighted edge = %+v, want weight 2", e)
 	}
 }
 

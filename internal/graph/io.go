@@ -100,7 +100,7 @@ func ReadEdgeList(r io.Reader, undirected bool, minVertices int) (*Graph, error)
 	if minVertices > n {
 		n = minVertices
 	}
-	b := NewBuilder(n).SetUndirected(undirected)
+	b := NewBuilder(n).SetUndirected(undirected).Grow(len(edges))
 	for _, e := range edges {
 		switch {
 		case typed:

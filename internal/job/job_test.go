@@ -2,6 +2,7 @@ package job
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -186,26 +187,49 @@ func TestObservationKeepsZeroCopyMigration(t *testing.T) {
 }
 
 // TestEnginePanicIsRunError: a zero-weight vertex panics in the engine's
-// sampler set-up; Run and RunNode return that as an error.
+// sampler set-up; Run and RunNode return that as an error, whichever
+// set-up goroutine the panic happens on: vertex 0 on a lone rank, and the
+// last vertex on the last of 2 ranks, inside the second of its 2 workers'
+// ranges.
 func TestEnginePanicIsRunError(t *testing.T) {
-	g, err := graph.ReadEdgeList(strings.NewReader("0 1 0\n0 2 0\n1 2 1\n2 0 1\n"), false, 0)
-	if err != nil {
-		t.Fatal(err)
+	var ring strings.Builder
+	const n = 40
+	for v := 0; v < n; v++ {
+		w := 1
+		if v == n-1 {
+			w = 0
+		}
+		fmt.Fprintf(&ring, "%d %d %d\n%d %d %d\n", v, (v+1)%n, w, v, (v+2)%n, w)
 	}
-	spec := Spec{Spec: alg.Spec{Alg: "deepwalk", Biased: true}, Seed: 1}
-	run, err := Prepare(spec, g, Wiring{})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name        string
+		edges       string
+		nodes, rank int
+		workers     int
+	}{
+		{"vertex 0, 1 rank", "0 1 0\n0 2 0\n1 2 1\n2 0 1\n", 1, 0, 0},
+		{"last vertex, rank 1 of 2, worker 1 of 2", ring.String(), 2, 1, 2},
 	}
-	if _, _, err := run.Run(); err == nil || !strings.Contains(err.Error(), "weights sum to 0") {
-		t.Fatalf("Run = %v, want the engine panic as an error", err)
-	}
-	rank, err := PrepareRank(spec, g, 0, Wiring{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := rank.RunNode(transport.NewInProcGroup(1)[0]); err == nil || !strings.Contains(err.Error(), "weights sum to 0") {
-		t.Fatalf("RunNode = %v, want the engine panic as an error", err)
+	for _, c := range cases {
+		g, err := graph.ReadEdgeList(strings.NewReader(c.edges), false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := Spec{Spec: alg.Spec{Alg: "deepwalk", Biased: true}, Seed: 1, Workers: c.workers}
+		run, err := Prepare(spec, g, Wiring{Nodes: c.nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := run.Run(); err == nil || !strings.Contains(err.Error(), "weights sum to 0") {
+			t.Fatalf("%s: Run = %v, want the engine panic as an error", c.name, err)
+		}
+		rank, err := PrepareRank(spec, g, c.rank, Wiring{Nodes: c.nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := rank.RunNode(transport.NewInProcGroup(c.nodes)[c.rank]); err == nil || !strings.Contains(err.Error(), "weights sum to 0") {
+			t.Fatalf("%s: RunNode = %v, want the engine panic as an error", c.name, err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package sampling
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"knightking/internal/rng"
@@ -103,6 +104,13 @@ type AliasEntry struct {
 // ready, and one scratch serves any number of rows built in sequence.
 type AliasScratch struct {
 	small, large []int32
+}
+
+// Grow sizes the scratch for rows of up to n items at once, so a caller
+// that knows its largest row never grows it row by row.
+func (s *AliasScratch) Grow(n int) {
+	s.small = slices.Grow(s.small[:0], n)
+	s.large = slices.Grow(s.large[:0], n)
 }
 
 // BuildAliasRow fills out with the Walker/Vose alias table over the given
