@@ -277,3 +277,17 @@ func BenchmarkEngineOnOverlayEpoch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNew wraps the kkperf kkserve graph (100k weighted vertices,
+// about 2.16M edges) as a dynamic graph: epoch 0's alias rows and its
+// fingerprint, the work kkserve does per graph before it serves.
+func BenchmarkNew(b *testing.B) {
+	base := gen.WithPowerLawWeights(gen.TruncatedPowerLaw(100000, 4, 1000, 2.0, 3), 16, 2.0, 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(base, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*base.NumEdges()), "ns/edge")
+}
