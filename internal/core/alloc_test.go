@@ -155,3 +155,36 @@ func TestEngineRunAllocCeilingWeighted(t *testing.T) {
 		t.Fatalf("weighted engine run allocates %.1f per run (ceiling %d): set-up or the hot path allocates per vertex or per step", allocs, ceiling)
 	}
 }
+
+// TestEncodeSnapshotOneAlloc: a checkpoint segment is encoded into one
+// buffer sized up front for the walker records and the result section,
+// so encoding makes exactly one allocation and never regrows (and
+// copies) the blob. The node owns the result section with paths and
+// visit counts on, one walker is parked on a pending dart, and a third
+// of the walkers have finished paths.
+func TestEncodeSnapshotOneAlloc(t *testing.T) {
+	const walkers = 300
+	n := newTestNode(t, Config{
+		Graph: gen.UniformDegree(200, 4, 7), Algorithm: parityAlg(4), NumWalkers: walkers, Seed: 1,
+		RecordPaths: true, CountVisits: true,
+	})
+	if len(n.walkers) == 0 || n.res.Paths == nil || n.res.Visits == nil {
+		t.Fatal("the node has no walkers, paths or visits to encode")
+	}
+	w := n.walkers[0]
+	w.awaiting, w.sampling = true, true
+	w.History = append(w.History, 5, 6)
+	w.Path = append(w.Path, 1, 2, 3)
+	for id := 0; id < walkers; id += 3 {
+		n.res.Paths[id] = []graph.VertexID{graph.VertexID(id % 200), 1, 2}
+		n.res.Lengths.Observe(int64(id % 5))
+	}
+	var blob []byte
+	allocs := testing.AllocsPerRun(20, func() { blob = n.encodeSnapshot(7) })
+	if allocs != 1 {
+		t.Fatalf("encodeSnapshot makes %.1f allocations, want 1", allocs)
+	}
+	if len(blob) != cap(blob) {
+		t.Fatalf("encodeSnapshot sized its buffer for %d bytes and wrote %d", cap(blob), len(blob))
+	}
+}

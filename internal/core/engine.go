@@ -11,6 +11,7 @@ import (
 
 	"knightking/internal/cluster"
 	"knightking/internal/graph"
+	"knightking/internal/parallel"
 	"knightking/internal/rng"
 	"knightking/internal/sampling"
 	"knightking/internal/stats"
@@ -360,7 +361,7 @@ func setUp(cfg *Config, eps []transport.Endpoint, size int) ([]*node, *Result, *
 	// ranks x workers goroutines the walk runs on.
 	nodes := make([]*node, len(eps))
 	errs := make([]error, len(eps))
-	parallel(len(eps), func(i int) {
+	parallel.Do(len(eps), func(i int) {
 		nodes[i], errs[i] = newNode(ranks[i], cfg, part, eps[i], counters, res, i == 0)
 	})
 	for _, err := range errs {
@@ -667,7 +668,7 @@ func (n *node) buildSamplers() {
 		runs[k] = run{i, at}
 	}
 	runs[workers] = run{count, need}
-	parallel(workers, func(k int) {
+	parallel.Do(workers, func(k int) {
 		lo, hi := runs[k], runs[k+1]
 		var comp []float32
 		if computed != nil {
@@ -734,34 +735,6 @@ func (n *node) buildRange(lo, hi int, slab []sampling.AliasEntry, computed []flo
 		}
 		n.boards[i].Reset(s, q, l, apps)
 		n.rejections[i] = &n.boards[i]
-	}
-}
-
-// parallel runs f(0), ..., f(k-1) at once, f(0) on the calling goroutine,
-// and returns when all have. A panic on any of them is raised again on
-// the caller once every one has finished (the lowest index's, if several
-// panic), so a set-up panic reaches the caller's recover from whichever
-// goroutine it happened on.
-func parallel(k int, f func(i int)) {
-	panics := make([]any, k)
-	var wg sync.WaitGroup
-	for i := 1; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { panics[i] = recover() }()
-			f(i)
-		}(i)
-	}
-	func() {
-		defer func() { panics[0] = recover() }()
-		f(0)
-	}()
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
 	}
 }
 

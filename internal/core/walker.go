@@ -89,6 +89,15 @@ func (w *Walker) InHistory(v graph.VertexID) bool {
 	return false
 }
 
+// walkerLen is the length of w's record as encodeWalker writes it.
+func walkerLen(w *Walker) int {
+	n := walkerFixedLen + 4*len(w.History) + 4*len(w.Path)
+	if w.awaiting {
+		n += pendingLen
+	}
+	return n
+}
+
 // encodeWalker appends w's wire form to buf and returns the extended slice.
 // A walker never migrates while awaiting a query, so migration records
 // carry no pending-dart bytes; checkpoint segments reuse the same codec and

@@ -21,46 +21,32 @@ const (
 // length prefixes, so data cannot alias across sections (an absent weight
 // array is distinct from an empty or all-zero one).
 func Fingerprint(g *Graph) uint64 {
-	h := uint64(fnvOffset64)
-	mix := func(v uint64) {
-		for i := 0; i < 64; i += 8 {
-			h ^= (v >> i) & 0xff
-			h *= fnvPrime64
-		}
-	}
-
-	mix(uint64(len(g.offsets)))
+	h := mix64(fnvOffset64, uint64(len(g.offsets)))
 	for _, o := range g.offsets {
-		mix(uint64(o))
+		h = mix64(h, uint64(o))
 	}
-	mix(uint64(len(g.dst)))
-	for _, d := range g.dst {
-		mix(uint64(d))
-	}
+	h = mix64(h, uint64(len(g.dst)))
+	h = mixDsts(h, g.dst)
 	if g.weight == nil {
-		mix(0)
+		h = mix64(h, 0)
 	} else {
-		mix(1)
-		mix(uint64(len(g.weight)))
-		for _, w := range g.weight {
-			mix(uint64(math.Float32bits(w)))
-		}
+		h = mix64(h, 1)
+		h = mix64(h, uint64(len(g.weight)))
+		h = mixWeights(h, g.weight)
 	}
 	if g.etype == nil {
-		mix(0)
+		h = mix64(h, 0)
 	} else {
-		mix(1)
-		mix(uint64(len(g.etype)))
-		for _, t := range g.etype {
-			mix(uint64(uint32(t)))
-		}
+		h = mix64(h, 1)
+		h = mix64(h, uint64(len(g.etype)))
+		h = mixTypes(h, g.etype)
 	}
 	if g.partial {
-		mix(1)
-		mix(uint64(g.ownedLo))
-		mix(uint64(g.ownedHi))
+		h = mix64(h, 1)
+		h = mix64(h, uint64(g.ownedLo))
+		h = mix64(h, uint64(g.ownedHi))
 	} else {
-		mix(0)
+		h = mix64(h, 0)
 	}
 	// Overlay section, appended only when present: a delta-free graph keeps
 	// the exact hash it had before overlays existed, so registry identities
@@ -68,21 +54,66 @@ func Fingerprint(g *Graph) uint64 {
 	// overlaid vertex with its whole length-prefixed segment, so two epochs
 	// differ whenever any replaced adjacency, weight, or type differs.
 	if o := g.over; o != nil {
-		mix(1)
-		mix(uint64(o.verts))
+		h = mix64(h, 1)
+		h = mix64(h, uint64(o.verts))
 		o.overlaid(func(v VertexID, s *Segment) {
-			mix(uint64(v))
-			mix(uint64(len(s.Dst)))
-			for _, d := range s.Dst {
-				mix(uint64(d))
-			}
-			for _, w := range s.Weight {
-				mix(uint64(math.Float32bits(w)))
-			}
-			for _, t := range s.Type {
-				mix(uint64(uint32(t)))
-			}
+			h = mix64(h, uint64(v))
+			h = mix64(h, uint64(len(s.Dst)))
+			h = mixDsts(h, s.Dst)
+			h = mixWeights(h, s.Weight)
+			h = mixTypes(h, s.Type)
 		})
+	}
+	return h
+}
+
+// Every value enters the hash as eight little-endian bytes, one FNV-1a
+// round (xor, multiply) each. A 32-bit value's four high bytes are zero,
+// and xor with zero leaves h as it is, so their four rounds are four
+// multiplications by the prime: one multiplication by fnvPrime64x4, the
+// prime's fourth power mod 2^64. The hash is bit for bit the byte-wise
+// one, in 5 multiplications per 32-bit value instead of 8.
+const fnvPrime64x4 = (fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64) & (1<<64 - 1)
+
+func mix64(h, v uint64) uint64 {
+	h = (h ^ v&0xff) * fnvPrime64
+	h = (h ^ v>>8&0xff) * fnvPrime64
+	h = (h ^ v>>16&0xff) * fnvPrime64
+	h = (h ^ v>>24&0xff) * fnvPrime64
+	h = (h ^ v>>32&0xff) * fnvPrime64
+	h = (h ^ v>>40&0xff) * fnvPrime64
+	h = (h ^ v>>48&0xff) * fnvPrime64
+	return (h ^ v>>56) * fnvPrime64
+}
+
+func mix32(h uint64, v uint32) uint64 {
+	h = (h ^ uint64(v&0xff)) * fnvPrime64
+	h = (h ^ uint64(v>>8&0xff)) * fnvPrime64
+	h = (h ^ uint64(v>>16&0xff)) * fnvPrime64
+	h = (h ^ uint64(v>>24)) * fnvPrime64
+	return h * fnvPrime64x4
+}
+
+// The section loops are typed, one per array element type, so the
+// compiler inlines mix32 into each and no value costs a call.
+
+func mixDsts(h uint64, s []VertexID) uint64 {
+	for _, v := range s {
+		h = mix32(h, v)
+	}
+	return h
+}
+
+func mixWeights(h uint64, s []float32) uint64 {
+	for _, w := range s {
+		h = mix32(h, math.Float32bits(w))
+	}
+	return h
+}
+
+func mixTypes(h uint64, s []int32) uint64 {
+	for _, t := range s {
+		h = mix32(h, uint32(t))
 	}
 	return h
 }

@@ -46,7 +46,9 @@ func hugeVertexIDs(input string) bool {
 }
 
 // FuzzReadBinary checks the binary loader on arbitrary bytes: no panics,
-// and either a validated graph or an error.
+// and either a validated graph or an error. Every input is read from
+// memory and from a file, the loader's two paths, which must return the
+// same graph or both fail.
 func FuzzReadBinary(f *testing.F) {
 	// Seed with a genuine dump.
 	b := NewBuilder(4)
@@ -72,7 +74,7 @@ func FuzzReadBinary(f *testing.F) {
 				t.Fatalf("panic on input %x: %v", data, r)
 			}
 		}()
-		g, err := ReadBinary(bytes.NewReader(data))
+		g, err := readBoth(t, t.TempDir(), data)
 		if err != nil {
 			return
 		}

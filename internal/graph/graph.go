@@ -9,6 +9,9 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sort"
+
+	"knightking/internal/parallel"
 )
 
 // VertexID identifies a vertex. Graphs in the paper's evaluation reach 134M
@@ -544,6 +547,11 @@ func (b *Builder) Reset() {
 // typed is set: the arrays a Builder fed the edges in adjacency order
 // would produce, without its second trip through them. g must be a whole
 // graph, not a partition slice or an epoch view.
+//
+// Relabel calls f from several goroutines at once, each over its own
+// range of source vertices, so f must be safe for concurrent use (a pure
+// function of its arguments is). A panic in f is raised again on the
+// caller.
 func (g *Graph) Relabel(typed bool, f func(src VertexID, e Edge) (weight float32, typ int32)) *Graph {
 	if g.partial || g.over != nil {
 		panic("graph: Relabel needs a whole graph, not a partition slice or an epoch view")
@@ -552,21 +560,38 @@ func (g *Graph) Relabel(typed bool, f func(src VertexID, e Edge) (weight float32
 	if typed {
 		out.etype = make([]int32, len(g.dst))
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
-			e := Edge{Dst: g.dst[i], Weight: 1}
-			if g.weight != nil {
-				e.Weight = g.weight[i]
-			}
-			if g.etype != nil {
-				e.Type = g.etype[i]
-			}
-			w, t := f(VertexID(v), e)
-			out.weight[i] = w
-			if out.etype != nil {
-				out.etype[i] = t
+	cuts := g.edgeCuts(parallel.Workers(len(g.dst)))
+	parallel.Do(len(cuts)-1, func(k int) {
+		for v := cuts[k]; v < cuts[k+1]; v++ {
+			for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
+				e := Edge{Dst: g.dst[i], Weight: 1}
+				if g.weight != nil {
+					e.Weight = g.weight[i]
+				}
+				if g.etype != nil {
+					e.Type = g.etype[i]
+				}
+				w, t := f(VertexID(v), e)
+				out.weight[i] = w
+				if out.etype != nil {
+					out.etype[i] = t
+				}
 			}
 		}
-	}
+	})
 	return out
+}
+
+// edgeCuts cuts the vertex range [0, |V|) of a plain graph into k runs
+// of about equal edge count: run j is [cuts[j], cuts[j+1]), starting at
+// the first vertex whose edges begin at or past j/k of the total.
+func (g *Graph) edgeCuts(k int) []int {
+	n, total := g.NumVertices(), g.offsets[g.NumVertices()]
+	cuts := make([]int, k+1)
+	for j := 1; j < k; j++ {
+		at := total * int64(j) / int64(k)
+		cuts[j] = sort.Search(n, func(v int) bool { return g.offsets[v] >= at })
+	}
+	cuts[k] = n
+	return cuts
 }

@@ -2,11 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"knightking/internal/parallel"
 	"knightking/internal/rng"
 )
 
@@ -505,5 +507,33 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	g.dst[0] = 99 // out of range
 	if err := g.Validate(); err == nil {
 		t.Fatal("corrupted graph validated")
+	}
+}
+
+// TestRelabelPanicReachesCaller: Relabel runs f on several goroutines,
+// and a panic in f on the last of them, away from the caller's, is
+// raised again on the caller with its value.
+func TestRelabelPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g := randomGraph(5, 20000, 1<<17, false, false)
+	if k := parallel.Workers(len(g.dst)); k < 2 {
+		t.Fatalf("Relabel would run on %d goroutine, want several", k)
+	}
+	last := VertexID(g.NumVertices() - 1)
+	for g.Degree(last) == 0 {
+		last--
+	}
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		g.Relabel(false, func(src VertexID, e Edge) (float32, int32) {
+			if src == last {
+				panic("bad edge at the last vertex")
+			}
+			return 1, 0
+		})
+		return nil
+	}()
+	if got != "bad edge at the last vertex" {
+		t.Fatalf("recovered %v, want the callback's panic", got)
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -159,6 +161,27 @@ const (
 	flagTyped     = 1 << 1
 )
 
+// binaryHeaderLen is the byte length of the fixed header above.
+const binaryHeaderLen = 4 + 4 + 4 + 8 + 8
+
+// binaryHeader is the decoded fixed header of a binary CSR file.
+type binaryHeader struct {
+	flags  uint32
+	nv, ne uint64
+}
+
+// arraysLen is the byte length of the arrays the header announces.
+func (h binaryHeader) arraysLen() uint64 {
+	per := uint64(4)
+	if h.flags&flagWeighted != 0 {
+		per += 4
+	}
+	if h.flags&flagTyped != 0 {
+		per += 4
+	}
+	return 8*(h.nv+1) + per*h.ne
+}
+
 // WriteBinary serializes g in the binary CSR format.
 func WriteBinary(w io.Writer, g *Graph) error {
 	if g.Overlaid() {
@@ -166,7 +189,6 @@ func WriteBinary(w io.Writer, g *Graph) error {
 		// silently lose its deltas. Callers must materialize first.
 		return fmt.Errorf("graph: cannot serialize an overlay view; call Compacted() first")
 	}
-	bw := bufio.NewWriter(w)
 	var flags uint32
 	if g.Weighted() {
 		flags |= flagWeighted
@@ -174,73 +196,62 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	if g.Typed() {
 		flags |= flagTyped
 	}
-	hdr := []interface{}{
-		uint32(binaryMagic), uint32(binaryVersion), flags,
-		uint64(g.NumVertices()), uint64(g.NumEdges()),
+	var hdr [binaryHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], binaryMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], binaryVersion)
+	binary.LittleEndian.PutUint32(hdr[8:], flags)
+	binary.LittleEndian.PutUint64(hdr[12:], uint64(g.NumVertices()))
+	binary.LittleEndian.PutUint64(hdr[20:], uint64(g.NumEdges()))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
 	}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
+	chunk := make([]byte, codecChunk)
+	if err := writeArray(w, chunk, g.offsets); err != nil {
+		return err
 	}
-	for _, arr := range []interface{}{g.offsets, g.dst} {
-		if err := binary.Write(bw, binary.LittleEndian, arr); err != nil {
-			return err
-		}
+	if err := writeArray(w, chunk, g.dst); err != nil {
+		return err
 	}
 	if g.Weighted() {
-		if err := binary.Write(bw, binary.LittleEndian, g.weight); err != nil {
+		if err := writeArray(w, chunk, g.weight); err != nil {
 			return err
 		}
 	}
 	if g.Typed() {
-		if err := binary.Write(bw, binary.LittleEndian, g.etype); err != nil {
-			return err
-		}
+		return writeArray(w, chunk, g.etype)
 	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadBinary deserializes a graph written by WriteBinary and validates it.
+// From a regular file it checks the header's array sizes against the
+// bytes the file has left and then allocates each array once, at its
+// size; from any other reader it grows them in bounded chunks. Either way
+// a header that claims more data than there is fails without a large
+// allocation.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var magic, version, flags uint32
-	var nv, ne uint64
-	for _, p := range []interface{}{&magic, &version, &flags, &nv, &ne} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("graph: binary header: %w", err)
-		}
+	h, err := readBinaryHeader(r)
+	if err != nil {
+		return nil, err
 	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", magic)
+	br, err := newBinReader(r, h)
+	if err != nil {
+		return nil, err
 	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("graph: unsupported version %d", version)
-	}
-	if flags&^uint32(flagWeighted|flagTyped) != 0 {
-		return nil, fmt.Errorf("graph: unknown flag bits %#x", flags)
-	}
-	if nv >= 1<<40 || ne >= 1<<48 {
-		return nil, fmt.Errorf("graph: implausible binary header (|V|=%d |E|=%d)", nv, ne)
-	}
-	// Array sizes come from an untrusted header; read in bounded chunks so
-	// a lying header fails with a clean error after a small allocation
-	// instead of attempting a gigantic one.
 	g := &Graph{}
-	var err error
-	if g.offsets, err = readChunked[int64](br, nv+1, "offsets"); err != nil {
+	if g.offsets, err = readArray[int64](br, h.nv+1, "offsets"); err != nil {
 		return nil, err
 	}
-	if g.dst, err = readChunked[VertexID](br, ne, "dst"); err != nil {
+	if g.dst, err = readArray[VertexID](br, h.ne, "dst"); err != nil {
 		return nil, err
 	}
-	if flags&flagWeighted != 0 {
-		if g.weight, err = readChunked[float32](br, ne, "weights"); err != nil {
+	if h.flags&flagWeighted != 0 {
+		if g.weight, err = readArray[float32](br, h.ne, "weights"); err != nil {
 			return nil, err
 		}
 	}
-	if flags&flagTyped != 0 {
-		if g.etype, err = readChunked[int32](br, ne, "types"); err != nil {
+	if h.flags&flagTyped != 0 {
+		if g.etype, err = readArray[int32](br, h.ne, "types"); err != nil {
 			return nil, err
 		}
 	}
@@ -250,27 +261,168 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// readChunked reads exactly n little-endian values, growing the result in
-// bounded chunks so declared-but-absent data cannot force a huge upfront
-// allocation.
-func readChunked[T int64 | int32 | uint32 | float32](r io.Reader, n uint64, what string) ([]T, error) {
-	const chunk = 1 << 16
-	out := make([]T, 0, min64(n, chunk))
-	for remaining := n; remaining > 0; {
-		take := min64(remaining, chunk)
-		buf := make([]T, take)
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
+// readBinaryHeader reads and checks the fixed header.
+func readBinaryHeader(r io.Reader) (binaryHeader, error) {
+	var b [binaryHeaderLen]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return binaryHeader{}, fmt.Errorf("graph: binary header: %w", err)
+	}
+	if magic := binary.LittleEndian.Uint32(b[0:]); magic != binaryMagic {
+		return binaryHeader{}, fmt.Errorf("graph: bad magic %#x", magic)
+	}
+	if version := binary.LittleEndian.Uint32(b[4:]); version != binaryVersion {
+		return binaryHeader{}, fmt.Errorf("graph: unsupported version %d", version)
+	}
+	h := binaryHeader{
+		flags: binary.LittleEndian.Uint32(b[8:]),
+		nv:    binary.LittleEndian.Uint64(b[12:]),
+		ne:    binary.LittleEndian.Uint64(b[20:]),
+	}
+	if h.flags&^uint32(flagWeighted|flagTyped) != 0 {
+		return binaryHeader{}, fmt.Errorf("graph: unknown flag bits %#x", h.flags)
+	}
+	if h.nv >= 1<<40 || h.ne >= 1<<48 {
+		return binaryHeader{}, fmt.Errorf("graph: implausible binary header (|V|=%d |E|=%d)", h.nv, h.ne)
+	}
+	return h, nil
+}
+
+// codecChunk is the byte size of the one buffer a read or a write moves
+// every array through.
+const codecChunk = 1 << 16
+
+// binReader reads the little-endian arrays of one binary CSR file
+// through a single reused chunk.
+type binReader struct {
+	r     io.Reader
+	chunk []byte
+	// sized is set when r is a regular file that holds every byte the
+	// header announces from the current offset on, so arrays are made at
+	// their full length up front instead of grown chunk by chunk.
+	sized bool
+}
+
+// newBinReader prepares to read the arrays h announces from r, which is
+// positioned right after the header. For a regular file it fails, naming
+// both sizes, when the arrays would run past the end of the file.
+func newBinReader(r io.Reader, h binaryHeader) (*binReader, error) {
+	br := &binReader{r: r}
+	if f, ok := r.(*os.File); ok {
+		info, err := f.Stat()
+		if err == nil && info.Mode().IsRegular() {
+			if at, err := f.Seek(0, io.SeekCurrent); err == nil {
+				left := uint64(max(info.Size()-at, 0))
+				if need := h.arraysLen(); need > left {
+					return nil, fmt.Errorf("graph: binary header announces %d bytes of arrays (|V|=%d |E|=%d), file has %d left",
+						need, h.nv, h.ne, left)
+				}
+				br.sized = true
+			}
+		}
+	}
+	br.chunk = make([]byte, codecChunk)
+	return br, nil
+}
+
+// codecValue is an element type of the binary format's arrays.
+type codecValue interface {
+	int64 | int32 | uint32 | float32
+}
+
+// readArray reads exactly n little-endian values. Unless the reader is
+// sized, the result grows in bounded chunks so declared-but-absent data
+// cannot force a huge upfront allocation.
+func readArray[T codecValue](br *binReader, n uint64, what string) ([]T, error) {
+	var out []T
+	if br.sized {
+		out = make([]T, n)
+	} else {
+		out = make([]T, 0, min(n, codecChunk/sizeOf[T]()))
+	}
+	width := sizeOf[T]()
+	per := uint64(len(br.chunk)) / width
+	for done := uint64(0); done < n; {
+		take := min(n-done, per)
+		b := br.chunk[:take*width]
+		if _, err := io.ReadFull(br.r, b); err != nil {
 			return nil, fmt.Errorf("graph: binary %s: %w", what, err)
 		}
-		out = append(out, buf...)
-		remaining -= take
+		if !br.sized {
+			out = slices.Grow(out, int(take))[:done+take]
+		}
+		decode(out[done:done+take], b)
+		done += take
 	}
 	return out, nil
 }
 
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
+// sizeOf is the encoded width of T in bytes.
+func sizeOf[T codecValue]() uint64 {
+	var zero T
+	switch any(zero).(type) {
+	case int64:
+		return 8
+	default:
+		return 4
 	}
-	return b
+}
+
+// decode fills dst from the little-endian bytes b, len(dst) values.
+func decode[T codecValue](dst []T, b []byte) {
+	switch d := any(dst).(type) {
+	case []int64:
+		for i := range d {
+			d[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	case []uint32:
+		for i := range d {
+			d[i] = binary.LittleEndian.Uint32(b[4*i:])
+		}
+	case []int32:
+		for i := range d {
+			d[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	case []float32:
+		for i := range d {
+			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	}
+}
+
+// encode writes src into b little-endian, len(src) values.
+func encode[T codecValue](b []byte, src []T) {
+	switch s := any(src).(type) {
+	case []int64:
+		for i, v := range s {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+		}
+	case []uint32:
+		for i, v := range s {
+			binary.LittleEndian.PutUint32(b[4*i:], v)
+		}
+	case []int32:
+		for i, v := range s {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+		}
+	case []float32:
+		for i, v := range s {
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
+		}
+	}
+}
+
+// writeArray writes src little-endian through chunk.
+func writeArray[T codecValue](w io.Writer, chunk []byte, src []T) error {
+	width := int(sizeOf[T]())
+	per := len(chunk) / width
+	for len(src) > 0 {
+		take := min(len(src), per)
+		b := chunk[:take*width]
+		encode(b, src[:take])
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		src = src[take:]
+	}
+	return nil
 }

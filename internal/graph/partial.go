@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -40,45 +39,42 @@ func (h *PartialHeader) Degree(v VertexID) int {
 // ReadBinaryDegrees reads a binary CSR file's header and offset array,
 // leaving the reader positioned at the start of the edge arrays.
 func ReadBinaryDegrees(r io.Reader) (*PartialHeader, error) {
-	var magic, version, flags uint32
-	var nv, ne uint64
-	for _, p := range []interface{}{&magic, &version, &flags, &nv, &ne} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("graph: partial header: %w", err)
-		}
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", magic)
-	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("graph: unsupported version %d", version)
-	}
-	if flags&^uint32(flagWeighted|flagTyped) != 0 {
-		return nil, fmt.Errorf("graph: unknown flag bits %#x", flags)
-	}
-	if nv >= 1<<40 || ne >= 1<<48 {
-		return nil, fmt.Errorf("graph: implausible binary header (|V|=%d |E|=%d)", nv, ne)
-	}
-	offsets, err := readChunked[int64](r, nv+1, "offsets")
+	h, _, err := readDegrees(r)
+	return h, err
+}
+
+// readDegrees is ReadBinaryDegrees, also returning the reader it read
+// through, for the edge arrays that follow.
+func readDegrees(r io.Reader) (*PartialHeader, *binReader, error) {
+	bh, err := readBinaryHeader(r)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	br, err := newBinReader(r, bh)
+	if err != nil {
+		return nil, nil, err
+	}
+	offsets, err := readArray[int64](br, bh.nv+1, "offsets")
+	if err != nil {
+		return nil, nil, err
+	}
+	nv := int(bh.nv)
 	h := &PartialHeader{
-		NumVertices: int(nv),
-		NumEdges:    int64(ne),
-		Weighted:    flags&flagWeighted != 0,
-		Typed:       flags&flagTyped != 0,
+		NumVertices: nv,
+		NumEdges:    int64(bh.ne),
+		Weighted:    bh.flags&flagWeighted != 0,
+		Typed:       bh.flags&flagTyped != 0,
 		offsets:     offsets,
 	}
-	if h.offsets[0] != 0 || h.offsets[nv] != int64(ne) {
-		return nil, fmt.Errorf("graph: corrupt offset array")
+	if offsets[0] != 0 || offsets[nv] != int64(bh.ne) {
+		return nil, nil, fmt.Errorf("graph: corrupt offset array")
 	}
-	for v := 0; v < int(nv); v++ {
-		if h.offsets[v+1] < h.offsets[v] {
-			return nil, fmt.Errorf("graph: offsets not monotone at %d", v)
+	for v := 0; v < nv; v++ {
+		if offsets[v+1] < offsets[v] {
+			return nil, nil, fmt.Errorf("graph: offsets not monotone at %d", v)
 		}
 	}
-	return h, nil
+	return h, br, nil
 }
 
 // ReadBinarySlice loads the adjacency of vertices [lo, hi) from a binary
@@ -88,7 +84,7 @@ func ReadBinarySlice(rs io.ReadSeeker, lo, hi VertexID) (*Graph, error) {
 	if _, err := rs.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("graph: seek: %w", err)
 	}
-	h, err := ReadBinaryDegrees(rs)
+	h, br, err := readDegrees(rs)
 	if err != nil {
 		return nil, err
 	}
@@ -97,23 +93,19 @@ func ReadBinarySlice(rs io.ReadSeeker, lo, hi VertexID) (*Graph, error) {
 	}
 
 	// File layout after offsets: dst [ne]u32, weight [ne]f32?, type [ne]i32?.
-	headerLen := int64(4 + 4 + 4 + 8 + 8)
 	offsetsLen := int64(h.NumVertices+1) * 8
-	dstBase := headerLen + offsetsLen
+	dstBase := binaryHeaderLen + offsetsLen
 	edgeLo, edgeHi := h.offsets[lo], h.offsets[hi]
-	sliceEdges := edgeHi - edgeLo
+	sliceEdges := uint64(edgeHi - edgeLo)
 
-	readArray := func(base int64, elem int64, out interface{}) error {
-		if _, err := rs.Seek(base+edgeLo*elem, io.SeekStart); err != nil {
+	seek := func(base int64) error {
+		if _, err := rs.Seek(base+edgeLo*4, io.SeekStart); err != nil {
 			return fmt.Errorf("graph: seek edge array: %w", err)
 		}
-		return binary.Read(rs, binary.LittleEndian, out)
+		return nil
 	}
 
-	g := &Graph{
-		offsets: make([]int64, h.NumVertices+1),
-		dst:     make([]VertexID, sliceEdges),
-	}
+	g := &Graph{offsets: make([]int64, h.NumVertices+1)}
 	// Offsets: 0 outside the owned range; shifted copies inside, so the
 	// slice's edges index from 0.
 	for v := int(lo); v < int(hi); v++ {
@@ -123,21 +115,28 @@ func ReadBinarySlice(rs io.ReadSeeker, lo, hi VertexID) (*Graph, error) {
 		g.offsets[v+1] = g.offsets[int(hi)]
 	}
 	// Vertices before lo keep offset 0 (degree 0): already zeroed.
-	if err := readArray(dstBase, 4, g.dst); err != nil {
-		return nil, fmt.Errorf("graph: slice dst: %w", err)
+	if err := seek(dstBase); err != nil {
+		return nil, err
 	}
-	next := dstBase + int64(h.NumEdges)*4
+	if g.dst, err = readArray[VertexID](br, sliceEdges, "slice dst"); err != nil {
+		return nil, err
+	}
+	next := dstBase + h.NumEdges*4
 	if h.Weighted {
-		g.weight = make([]float32, sliceEdges)
-		if err := readArray(next, 4, g.weight); err != nil {
-			return nil, fmt.Errorf("graph: slice weights: %w", err)
+		if err := seek(next); err != nil {
+			return nil, err
 		}
-		next += int64(h.NumEdges) * 4
+		if g.weight, err = readArray[float32](br, sliceEdges, "slice weights"); err != nil {
+			return nil, err
+		}
+		next += h.NumEdges * 4
 	}
 	if h.Typed {
-		g.etype = make([]int32, sliceEdges)
-		if err := readArray(next, 4, g.etype); err != nil {
-			return nil, fmt.Errorf("graph: slice types: %w", err)
+		if err := seek(next); err != nil {
+			return nil, err
+		}
+		if g.etype, err = readArray[int32](br, sliceEdges, "slice types"); err != nil {
+			return nil, err
 		}
 	}
 	g.ownedLo, g.ownedHi = lo, hi

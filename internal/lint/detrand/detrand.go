@@ -56,6 +56,9 @@ var DefaultPackages = map[string]bool{
 	// of delta segments (or timestamping an epoch) would leak
 	// nondeterminism into every walk on that epoch.
 	"knightking/internal/dyngraph": true,
+	// parallel runs the set-up passes of graph, dyngraph and core, each
+	// call over its own fixed range, so it is held to their standard.
+	"knightking/internal/parallel": true,
 	// tracelog hooks directly into the engine's step loop (core.Tracer),
 	// so it is held to the same standard as core: its timestamps are
 	// telemetry-only and each wall-clock read carries a reviewed waiver.

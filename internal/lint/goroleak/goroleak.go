@@ -56,6 +56,9 @@ var DefaultPackages = map[string]bool{
 	// must be joined (or carry a reviewed waiver) or a failover leaks it.
 	"knightking/internal/coord": true,
 	"knightking/cmd/kkrank":     true,
+	// parallel spawns the set-up goroutines of core, graph and dyngraph;
+	// Do must join every one before it returns.
+	"knightking/internal/parallel": true,
 }
 
 // Analyzer checks the repo's goroutine-owning packages (DefaultPackages).

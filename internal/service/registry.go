@@ -93,20 +93,22 @@ func (r *GraphRegistry) Register(name string, g *graph.Graph) (GraphInfo, error)
 	if g == nil {
 		return GraphInfo{}, fmt.Errorf("service: registering nil graph %q", name)
 	}
-	fp := graph.Fingerprint(g)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if prev, ok := r.entries[name]; ok {
-		if prev.fp == fp {
-			return prev.info(), nil // same content: idempotent
+		// Only a name already bound hashes the offered graph: a new
+		// binding takes epoch 0's fingerprint, which dyngraph.New computes.
+		if fp := graph.Fingerprint(g); fp != prev.fp {
+			return GraphInfo{}, fmt.Errorf("service: graph name %q already bound to different content (registered %016x, offered %016x)",
+				name, prev.fp, fp)
 		}
-		return GraphInfo{}, fmt.Errorf("service: graph name %q already bound to different content (registered %016x, offered %016x)",
-			name, prev.fp, fp)
+		return prev.info(), nil // same content: idempotent
 	}
 	dyn, err := dyngraph.New(g, r.opt)
 	if err != nil {
 		return GraphInfo{}, fmt.Errorf("service: graph %q: %w", name, err)
 	}
+	fp, _ := dyn.Epoch().Fingerprint() // known at epoch 0
 	e := &graphEntry{name: name, dyn: dyn, fp: fp}
 	r.entries[name] = e
 	return e.info(), nil
